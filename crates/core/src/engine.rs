@@ -512,20 +512,15 @@ impl<'a> InStorageEngine<'a> {
     }
 
     /// Broadcast the query embedding into the cache latches of every die
-    /// (Input Broadcasting, optionally multi-plane).
+    /// (Input Broadcasting, optionally multi-plane). Every plane shares one
+    /// tiled image of the query.
     pub fn broadcast_query(&mut self, db: &DeployedDatabase, query: &BinaryVector) -> Result<()> {
         let slot = db.layout.embedding_slot_bytes;
         let mut payload = vec![0u8; slot];
         payload[..query.as_bytes().len()].copy_from_slice(query.as_bytes());
-        let geometry = self.ssd.config().geometry;
-        let multi_plane = self.config.optimizations.multi_plane_ibc;
-        for channel in 0..geometry.channels {
-            for die in 0..geometry.dies_per_channel {
-                self.ssd
-                    .device_mut()
-                    .input_broadcast(channel, die, &payload, multi_plane)?;
-            }
-        }
+        self.ssd
+            .device_mut()
+            .input_broadcast_all(&payload, self.config.optimizations.multi_plane_ibc)?;
         Ok(())
     }
 

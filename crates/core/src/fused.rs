@@ -274,10 +274,9 @@ fn fused_walk_pages<'a>(
 /// device: one sense, one XOR, one fail-bit count and one pass/fail check
 /// per scanned page, plus the aggregate TTL channel traffic.
 ///
-/// This (and [`broadcast_stats`]) mirrors the device-side accounting of
-/// `InStorageEngine::scan_pages` / `FlashDevice::input_broadcast` rather
-/// than sharing code with it; any drift between the two is caught by the
-/// fused-vs-sequential `flash_stats` equality assertions in
+/// This mirrors the device-side accounting of `InStorageEngine::scan_pages`
+/// rather than sharing code with it; any drift between the two is caught by
+/// the fused-vs-sequential `flash_stats` equality assertions in
 /// `crates/core/tests/fused.rs`, which fail CI.
 fn logical_scan_stats(coarse: &ScanCounts, fine: &ScanCounts, entry_bytes: usize) -> FlashStats {
     let pages = (coarse.pages + fine.pages) as u64;
@@ -287,24 +286,6 @@ fn logical_scan_stats(coarse: &ScanCounts, fine: &ScanCounts, entry_bytes: usize
         bit_count_ops: pages,
         pass_fail_ops: pages,
         bytes_to_controller: (entry_bytes * (coarse.entries_passed + fine.entries_passed)) as u64,
-        ..FlashStats::new()
-    }
-}
-
-/// The logical flash activity of broadcasting one query into every die's
-/// cache latches, matching `InStorageEngine::broadcast_query` +
-/// `FlashDevice::input_broadcast` counter for counter.
-fn broadcast_stats(config: &ReisConfig, payload_bytes: usize) -> FlashStats {
-    let geometry = &config.ssd.geometry;
-    let dies = (geometry.channels * geometry.dies_per_channel) as u64;
-    let per_die = if config.optimizations.multi_plane_ibc {
-        payload_bytes as u64
-    } else {
-        (payload_bytes * geometry.planes_per_die) as u64
-    };
-    FlashStats {
-        broadcast_ops: dies,
-        bytes_from_controller: dies * per_die,
         ..FlashStats::new()
     }
 }
@@ -762,7 +743,13 @@ pub(crate) fn execute_batch_fused(
     // (page, query), plus every query's broadcast — *before* surfacing any
     // scan error or running a downstream phase that could fail: even a
     // failing scan walked real pages.
-    let broadcast = broadcast_stats(config, slot_bytes);
+    let geometry = &config.ssd.geometry;
+    let broadcast = FlashStats::input_broadcast(
+        geometry.total_dies(),
+        geometry.planes_per_die,
+        slot_bytes,
+        config.optimizations.multi_plane_ibc,
+    );
     let mut page_scores = 0u64;
     let mut ttl_bytes = 0u64;
     for state in &states {

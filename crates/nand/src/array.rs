@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::cell::ProgramScheme;
 use crate::error::{NandError, Result};
 use crate::geometry::{BlockAddr, Geometry, PageAddr, PlaneAddr};
-use crate::latch::{Latch, PageBuffer};
+use crate::latch::{broadcast_image, Latch, PageBuffer};
 use crate::peripheral::{FailBitCounter, PassFailChecker, XorLogic};
 use crate::reliability::{ReliabilityModel, SplitMix64};
 use crate::stats::FlashStats;
@@ -451,14 +451,18 @@ impl FlashDevice {
     }
 
     /// Broadcast a query payload into the cache latches of every plane of one
-    /// die (Input Broadcasting). With `multi_plane` set, all planes latch the
-    /// payload simultaneously (MPIBC), paying the die-I/O transfer only once.
+    /// die (Input Broadcasting; the `IBC` command). With `multi_plane` set,
+    /// all planes latch the payload simultaneously (MPIBC), paying the die-I/O
+    /// transfer only once.
+    ///
+    /// The payload is tiled once into a page image that every plane of the
+    /// die shares (see [`crate::latch::broadcast_image`]).
     ///
     /// # Errors
     ///
     /// * [`NandError::AddressOutOfRange`] for an invalid channel/die.
-    /// * [`NandError::InvalidBroadcastPayload`] if the payload does not
-    ///   evenly divide the page size.
+    /// * [`NandError::InvalidBroadcastPayload`] if the payload is empty or
+    ///   does not evenly divide the page size; no latch is changed.
     pub fn input_broadcast(
         &mut self,
         channel: usize,
@@ -467,21 +471,60 @@ impl FlashDevice {
         multi_plane: bool,
     ) -> Result<Nanos> {
         self.geometry.check_plane(PlaneAddr::new(channel, die, 0))?;
-        for plane in 0..self.geometry.planes_per_die {
-            let idx = self
-                .geometry
-                .plane_index(PlaneAddr::new(channel, die, plane));
-            self.planes[idx].buffer.broadcast_into_cache(payload)?;
-        }
-        self.stats.broadcast_ops += 1;
-        self.stats.bytes_from_controller += if multi_plane {
-            payload.len() as u64
-        } else {
-            (payload.len() * self.geometry.planes_per_die) as u64
-        };
+        let first = self.geometry.plane_index(PlaneAddr::new(channel, die, 0));
+        self.broadcast_into_planes(
+            first..first + self.geometry.planes_per_die,
+            payload,
+            multi_plane,
+        )?;
         Ok(self
             .timing
             .input_broadcast(payload.len(), self.geometry.planes_per_die, multi_plane))
+    }
+
+    /// Broadcast a query payload into the cache latches of every plane of
+    /// every die: the device-wide Input Broadcast that precedes an in-storage
+    /// search. Counters are those of one [`FlashDevice::input_broadcast`] per
+    /// die. The returned latency prices dies on one channel one after the
+    /// other and the channels in parallel.
+    ///
+    /// The payload is tiled once and every plane shares the image, so the
+    /// host cost is one page-sized copy however many planes the device has.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NandError::InvalidBroadcastPayload`] if the payload is empty
+    /// or does not evenly divide the page size; no latch is changed.
+    pub fn input_broadcast_all(&mut self, payload: &[u8], multi_plane: bool) -> Result<Nanos> {
+        let geometry = self.geometry;
+        self.broadcast_into_planes(0..geometry.total_planes(), payload, multi_plane)?;
+        let per_die =
+            self.timing
+                .input_broadcast(payload.len(), geometry.planes_per_die, multi_plane);
+        Ok(per_die * geometry.dies_per_channel as u64)
+    }
+
+    /// Install one shared broadcast image in the cache latches of the planes
+    /// at plane indices `planes` (whole dies) and count one broadcast per die.
+    fn broadcast_into_planes(
+        &mut self,
+        planes: std::ops::Range<usize>,
+        payload: &[u8],
+        multi_plane: bool,
+    ) -> Result<()> {
+        let image = broadcast_image(payload, self.geometry.page_size_bytes)?;
+        let planes_per_die = self.geometry.planes_per_die;
+        let dies = planes.len() / planes_per_die;
+        for plane in &mut self.planes[planes] {
+            plane.buffer.load_cache(Arc::clone(&image));
+        }
+        self.stats.accumulate(&FlashStats::input_broadcast(
+            dies,
+            planes_per_die,
+            payload.len(),
+            multi_plane,
+        ));
+        Ok(())
     }
 
     /// XOR the cache latch (query copies) into the sensing latch (database
@@ -855,6 +898,136 @@ mod tests {
                 .to_vec();
             assert_eq!(a, b);
         }
+    }
+
+    /// The cache latch of every plane, in plane-index order (`None` for an
+    /// empty latch).
+    fn cache_latches(dev: &FlashDevice) -> Vec<Option<Vec<u8>>> {
+        (0..dev.geometry().total_planes())
+            .map(|i| {
+                let addr = dev.geometry().plane_at(i);
+                dev.page_buffer(addr).unwrap().cache().map(<[u8]>::to_vec)
+            })
+            .collect()
+    }
+
+    /// A page of `payload` copies, built byte by byte.
+    fn tiled(payload: &[u8], page_size: usize) -> Vec<u8> {
+        (0..page_size).map(|i| payload[i % payload.len()]).collect()
+    }
+
+    #[test]
+    fn device_wide_broadcast_tiles_the_payload_into_every_plane() {
+        let mut dev = device();
+        let payload: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37) ^ 0x5C).collect();
+        dev.input_broadcast_all(&payload, true).unwrap();
+        let expected = tiled(&payload, dev.geometry().page_size_bytes);
+        for (i, cache) in cache_latches(&dev).into_iter().enumerate() {
+            assert_eq!(cache.as_deref(), Some(&expected[..]), "plane {i}");
+        }
+    }
+
+    #[test]
+    fn device_wide_broadcast_counts_and_prices_one_broadcast_per_die() {
+        let payload = [0xA7u8; 128];
+        for multi_plane in [true, false] {
+            let mut all = device();
+            let mut per_die = device();
+            let t_all = all.input_broadcast_all(&payload, multi_plane).unwrap();
+            let g = *per_die.geometry();
+            let mut t_die = Nanos::ZERO;
+            for channel in 0..g.channels {
+                for die in 0..g.dies_per_channel {
+                    t_die = per_die
+                        .input_broadcast(channel, die, &payload, multi_plane)
+                        .unwrap();
+                }
+            }
+            assert_eq!(all.stats(), per_die.stats(), "MPIBC {multi_plane}");
+            assert_eq!(
+                *all.stats(),
+                FlashStats::input_broadcast(
+                    g.total_dies(),
+                    g.planes_per_die,
+                    payload.len(),
+                    multi_plane
+                )
+            );
+            assert_eq!(t_all, t_die * g.dies_per_channel as u64);
+            assert_eq!(cache_latches(&all), cache_latches(&per_die));
+        }
+    }
+
+    #[test]
+    fn cache_writes_replace_the_shared_image_of_one_plane_only() {
+        let mut dev = device();
+        let page_size = dev.geometry().page_size_bytes;
+        let query = [0x3Cu8; 32];
+        dev.input_broadcast_all(&query, true).unwrap();
+        let sensed = PageAddr::new(1, 0, 1, 0, 0);
+        let page: Vec<u8> = (0..page_size).map(|i| (i % 251) as u8).collect();
+        dev.program_page(sensed, &page, &[], ProgramScheme::EnhancedSlc)
+            .unwrap();
+        dev.sense_page(sensed).unwrap();
+        dev.promote_sensing_to_cache(sensed.plane_addr()).unwrap();
+
+        let promoted = dev.geometry().plane_index(sensed.plane_addr());
+        let broadcast = tiled(&query, page_size);
+        for (i, cache) in cache_latches(&dev).into_iter().enumerate() {
+            let expected = if i == promoted { &page } else { &broadcast };
+            assert_eq!(cache.as_deref(), Some(&expected[..]), "plane {i}");
+        }
+
+        // A new broadcast to one die replaces that die's images and leaves
+        // the rest, including the promoted page, as they were.
+        let next = [0xC3u8; 64];
+        dev.input_broadcast(0, 1, &next, false).unwrap();
+        let rebroadcast = tiled(&next, page_size);
+        for (i, cache) in cache_latches(&dev).into_iter().enumerate() {
+            let addr = dev.geometry().plane_at(i);
+            let expected = if (addr.channel, addr.die) == (0, 1) {
+                &rebroadcast
+            } else if i == promoted {
+                &page
+            } else {
+                &broadcast
+            };
+            assert_eq!(cache.as_deref(), Some(&expected[..]), "plane {i}");
+        }
+
+        // A new device-wide broadcast replaces every image.
+        dev.input_broadcast_all(&next, true).unwrap();
+        for (i, cache) in cache_latches(&dev).into_iter().enumerate() {
+            assert_eq!(cache.as_deref(), Some(&rebroadcast[..]), "plane {i}");
+        }
+    }
+
+    #[test]
+    fn invalid_broadcast_payload_changes_no_latch() {
+        let mut dev = device();
+        let fresh = dev.clone();
+        let page_size = dev.geometry().page_size_bytes;
+        for payload in [&[][..], &[1u8; 100][..]] {
+            for result in [
+                dev.input_broadcast_all(payload, true),
+                dev.input_broadcast(0, 0, payload, true),
+            ] {
+                assert_eq!(
+                    result,
+                    Err(NandError::InvalidBroadcastPayload {
+                        payload_len: payload.len(),
+                        page_size,
+                    })
+                );
+            }
+        }
+        assert_eq!(dev, fresh, "empty latches stay empty, nothing counted");
+
+        dev.input_broadcast_all(&[9u8; 16], true).unwrap();
+        let before = dev.clone();
+        assert!(dev.input_broadcast_all(&[1u8; 48], true).is_err());
+        assert!(dev.input_broadcast(1, 1, &[], false).is_err());
+        assert_eq!(dev, before, "a failed broadcast keeps the previous images");
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! transferring the previous page out, and one or more *data latches* are
 //! used when programming multi-bit cells or, in REIS, to hold the result of
 //! the in-plane XOR between the query embedding and the database embeddings.
+//!
+//! The cache latch holds an immutable, shared page image (`Arc<[u8]>`): an
+//! Input Broadcast tiles the query once ([`broadcast_image`]) and every
+//! plane that receives it holds a clone of the same image. A write to the
+//! cache latch always replaces the image and never mutates it in place, so
+//! planes sharing one broadcast cannot observe each other's later writes.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -35,17 +43,48 @@ impl Latch {
     }
 }
 
+/// The cache-latch image of an Input Broadcast (Sec. 4.3.2): `payload`
+/// repeated until a page of `page_size` bytes is filled.
+///
+/// The image is built once per broadcast and shared by every plane that
+/// latches it (see [`PageBuffer::load_cache`]).
+///
+/// # Errors
+///
+/// Returns [`NandError::InvalidBroadcastPayload`] if the payload is empty or
+/// does not evenly divide the page size, since misaligned copies would not
+/// line up with the database embeddings for the subsequent XOR.
+///
+/// # Examples
+///
+/// ```
+/// use reis_nand::latch::broadcast_image;
+///
+/// let image = broadcast_image(&[1, 2], 8).unwrap();
+/// assert_eq!(&image[..], &[1, 2, 1, 2, 1, 2, 1, 2]);
+/// assert!(broadcast_image(&[1, 2, 3], 8).is_err());
+/// ```
+pub fn broadcast_image(payload: &[u8], page_size: usize) -> Result<Arc<[u8]>> {
+    if payload.is_empty() || !page_size.is_multiple_of(payload.len()) {
+        return Err(NandError::InvalidBroadcastPayload {
+            payload_len: payload.len(),
+            page_size,
+        });
+    }
+    Ok(Arc::from(payload.repeat(page_size / payload.len())))
+}
+
 /// The page buffer of one plane: sensing, data and cache latches plus the
 /// out-of-band bytes of the most recently sensed page.
 ///
 /// # Examples
 ///
 /// ```
-/// use reis_nand::latch::PageBuffer;
+/// use reis_nand::latch::{broadcast_image, PageBuffer};
 /// use reis_nand::geometry::PlaneAddr;
 ///
 /// let mut buf = PageBuffer::new(PlaneAddr::new(0, 0, 0), 4096);
-/// buf.broadcast_into_cache(&[0xAB; 128]).unwrap();
+/// buf.load_cache(broadcast_image(&[0xAB; 128], 4096).unwrap());
 /// buf.load_sensing(vec![0xCD; 4096], vec![0; 64]);
 /// buf.xor_cache_into_data().unwrap();
 /// assert_eq!(buf.data().unwrap()[0], 0xAB ^ 0xCD);
@@ -56,7 +95,7 @@ pub struct PageBuffer {
     page_size: usize,
     sensing: Option<Vec<u8>>,
     data: Option<Vec<u8>>,
-    cache: Option<Vec<u8>>,
+    cache: Option<Arc<[u8]>>,
     oob: Option<Vec<u8>>,
 }
 
@@ -134,30 +173,15 @@ impl PageBuffer {
         self.oob.as_deref()
     }
 
-    /// Fill the cache latch by repeating `payload` until the page size is
-    /// reached (Input Broadcasting of the query embedding, Sec. 4.3.2).
+    /// Install a shared page image in the cache latch, replacing whatever it
+    /// held (Input Broadcasting, Sec. 4.3.2, with the image built by
+    /// [`broadcast_image`]).
     ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::InvalidBroadcastPayload`] if the payload is empty
-    /// or does not evenly divide the page size, since misaligned copies would
-    /// not line up with the database embeddings for the subsequent XOR.
-    pub fn broadcast_into_cache(&mut self, payload: &[u8]) -> Result<()> {
-        if payload.is_empty() || !self.page_size.is_multiple_of(payload.len()) {
-            return Err(NandError::InvalidBroadcastPayload {
-                payload_len: payload.len(),
-                page_size: self.page_size,
-            });
-        }
-        let copies = self.page_size / payload.len();
-        let mut cache = self.cache.take().unwrap_or_default();
-        cache.clear();
-        cache.reserve(self.page_size);
-        for _ in 0..copies {
-            cache.extend_from_slice(payload);
-        }
-        self.cache = Some(cache);
-        Ok(())
+    /// The latch keeps a clone of the `Arc`, so installing one image in
+    /// every plane of a device costs one refcount bump per plane.
+    pub fn load_cache(&mut self, image: Arc<[u8]>) {
+        debug_assert_eq!(image.len(), self.page_size);
+        self.cache = Some(image);
     }
 
     /// XOR the cache latch into the sensing latch, storing the result in the
@@ -188,6 +212,9 @@ impl PageBuffer {
     /// Copy the sensing latch into the cache latch, freeing the sensing latch
     /// for the next read (read-page-cache-sequential mode, Sec. 4.3.4).
     ///
+    /// The sensed page becomes a new cache image of this plane alone; an
+    /// image other planes share is replaced here, never written through.
+    ///
     /// # Errors
     ///
     /// Returns [`NandError::LatchEmpty`] if the sensing latch is empty.
@@ -196,7 +223,7 @@ impl PageBuffer {
             latch: Latch::Sensing.name(),
             plane: self.plane,
         })?;
-        self.cache = Some(sensing);
+        self.cache = Some(Arc::from(sensing));
         Ok(())
     }
 
@@ -238,7 +265,7 @@ mod tests {
     fn broadcast_fills_whole_page_with_copies() {
         let mut buf = buffer();
         let payload = [0x5A_u8; 128];
-        buf.broadcast_into_cache(&payload).unwrap();
+        buf.load_cache(broadcast_image(&payload, 1024).unwrap());
         let cache = buf.cache().unwrap();
         assert_eq!(cache.len(), 1024);
         assert!(cache.iter().all(|&b| b == 0x5A));
@@ -246,8 +273,7 @@ mod tests {
 
     #[test]
     fn broadcast_rejects_misaligned_payload() {
-        let mut buf = buffer();
-        let err = buf.broadcast_into_cache(&[0u8; 100]).unwrap_err();
+        let err = broadcast_image(&[0u8; 100], 1024).unwrap_err();
         assert!(matches!(
             err,
             NandError::InvalidBroadcastPayload {
@@ -255,7 +281,7 @@ mod tests {
                 ..
             }
         ));
-        let err = buf.broadcast_into_cache(&[]).unwrap_err();
+        let err = broadcast_image(&[], 1024).unwrap_err();
         assert!(matches!(
             err,
             NandError::InvalidBroadcastPayload { payload_len: 0, .. }
@@ -265,7 +291,7 @@ mod tests {
     #[test]
     fn xor_computes_bitwise_difference() {
         let mut buf = buffer();
-        buf.broadcast_into_cache(&[0b1010_1010u8; 64]).unwrap();
+        buf.load_cache(broadcast_image(&[0b1010_1010u8; 64], 1024).unwrap());
         buf.load_sensing(vec![0b1100_1100u8; 1024], vec![1, 2, 3]);
         buf.xor_cache_into_data().unwrap();
         let data = buf.data().unwrap();

@@ -60,6 +60,33 @@ impl FlashStats {
         }
     }
 
+    /// Counters of one Input Broadcast of a `payload_bytes` payload into the
+    /// cache latches of `dies` dies with `planes_per_die` planes each: one
+    /// broadcast operation per die, and per die one die-I/O transfer of the
+    /// payload with Multi-Plane IBC (`multi_plane`) or one per plane
+    /// without it.
+    ///
+    /// [`crate::array::FlashDevice`] tallies its broadcasts with this, and
+    /// callers that model a broadcast without performing it use the same
+    /// function, so the two cannot drift apart.
+    pub fn input_broadcast(
+        dies: usize,
+        planes_per_die: usize,
+        payload_bytes: usize,
+        multi_plane: bool,
+    ) -> FlashStats {
+        let per_die = if multi_plane {
+            payload_bytes
+        } else {
+            payload_bytes * planes_per_die
+        };
+        FlashStats {
+            broadcast_ops: dies as u64,
+            bytes_from_controller: (dies * per_die) as u64,
+            ..FlashStats::new()
+        }
+    }
+
     /// Total number of flash array operations (reads + programs + erases).
     pub fn array_ops(&self) -> u64 {
         self.page_reads + self.page_programs + self.block_erases
