@@ -68,7 +68,7 @@ impl Default for Optimizations {
 /// REIS partitions a single scan over the SSD's channel×die units so that
 /// the flash-internal parallelism shortens the *latency* of one query, not
 /// just the throughput of many (Sec. 4.3.4). The simulator mirrors that
-/// with worker threads, one per scan shard, each owning its own latch
+/// with worker-pool tasks, one per scan shard, each owning its own scan
 /// scratch and Temporal Top List; see `reis_nand::sharding` for the
 /// geometry-aware plan and [`crate::engine`] for the execution and merge.
 ///
@@ -85,7 +85,8 @@ pub struct ScanParallelism {
     pub max_shards: usize,
     /// Minimum pages a shard must receive for sharding to be worthwhile;
     /// scans smaller than `2 × min_pages_per_shard` run sequentially so
-    /// thread spawn overhead never dominates tiny scans.
+    /// the cost of dispatching pool tasks and merging shard results never
+    /// dominates tiny scans.
     pub min_pages_per_shard: usize,
 }
 

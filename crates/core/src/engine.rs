@@ -2,11 +2,11 @@
 //!
 //! The engine executes searches *functionally* on the simulated flash
 //! device: it broadcasts the query into every plane's cache latch, senses
-//! embedding pages, XORs them against the query in the page buffers, counts
-//! differing bits with the fail-bit counter, filters by distance with the
-//! pass/fail checker, streams the surviving Temporal-Top-List entries (with
-//! the OOB linkage they carry) to the controller, runs quickselect, fetches
-//! the INT8 copies for reranking, quicksorts the survivors and finally reads
+//! embedding pages, XORs them against the query, counts differing bits
+//! with the fail-bit counter, filters by distance with the pass/fail
+//! checker, streams the surviving Temporal-Top-List entries (with the OOB
+//! linkage they carry) to the controller, runs quickselect, fetches the
+//! INT8 copies for reranking, quicksorts the survivors and finally reads
 //! the documents of the top-k results. Every step counts its activity in a
 //! [`crate::perf::QueryActivity`] so the latency model can price it.
 //!
@@ -15,15 +15,20 @@
 //! The scan loop is the throughput-critical path of the whole simulator, so
 //! it obeys three rules that any change here must preserve:
 //!
-//! 1. **Word kernels only.** All XOR-ing and bit counting goes through the
-//!    `u64`-word kernels of `reis_nand::peripheral` and the distance filter
-//!    uses the fused [`pass_fail_filter`](reis_nand::FlashDevice::pass_fail_filter)
-//!    path — no byte-at-a-time loops and no `Vec<bool>` materialization.
-//! 2. **No per-page allocation.** Every buffer a page scan needs (distance
-//!    counts, passing slots, TTL entries, page ranges) lives in a
-//!    [`ScanScratch`] that is reused across pages, across the coarse and
-//!    fine phases, and across queries. OOB bytes are borrowed from the
-//!    plane's page buffer, never copied.
+//! 1. **One pass per page.** When the embedding regions read error-free
+//!    (the ESP-SLC default) a page is scored in place from its stored
+//!    bytes: the single-pass
+//!    [`xor_count_filter_into`] kernel XORs it against the shared
+//!    cache-latch image, counts every slot and filters in one pass, with no
+//!    page-sized copy. Only error-prone embedding reads sense the page
+//!    through the plane latches (`sense_page`, `xor_latches`,
+//!    `count_fail_bits_into`), because only there must injected bit errors
+//!    reach the distances. Either way no byte-at-a-time loop runs and no
+//!    `Vec<bool>` is materialized.
+//! 2. **No per-page allocation.** Every buffer a page scan needs (passing
+//!    slots, TTL entries, page ranges) lives in a [`ScanScratch`] that is
+//!    reused across pages, across the coarse and fine phases, and across
+//!    queries. Page and OOB bytes are borrowed, never copied.
 //! 3. **Page-ordered downstream phases.** Reranking and document retrieval
 //!    sort their candidates by flash page and stream each page once,
 //!    scoring INT8 slots directly from the borrowed page slice — no page
@@ -41,12 +46,12 @@
 //! * **Within one query** — when
 //!   [`ScanParallelism`](crate::config::ScanParallelism) enables it, the
 //!   fine scan's merged page ranges are split into per-channel/per-die
-//!   shards ([`reis_nand::sharding`]) that scan concurrently. Shard workers
-//!   share the controller immutably (borrowed page reads, worker-owned
-//!   latch scratch) and their candidate lists merge into one Temporal Top
-//!   List whose total-order quickselect makes the sharded result
-//!   bit-identical to the sequential scan. Both levels compose: each batch
-//!   worker drives its own intra-query shards.
+//!   shards ([`reis_nand::sharding`]) that scan concurrently. Every shard
+//!   runs the sequential scan's own per-page body on a scratch of its own,
+//!   sharing the controller immutably, and the candidate lists merge into
+//!   one Temporal Top List whose total-order quickselect makes the sharded
+//!   result bit-identical to the sequential scan. Both levels compose:
+//!   each batch worker drives its own intra-query shards.
 //!
 //! Adaptive distance filtering composes with both levels through the
 //! *windowed* threshold schedule: an adapting scan consumes its
@@ -59,7 +64,7 @@
 use reis_ann::topk::Neighbor;
 use reis_ann::vector::{BinaryVector, Int8Vector};
 use reis_nand::latch::Latch;
-use reis_nand::peripheral::{FailBitCounter, PassFailChecker, XorLogic};
+use reis_nand::peripheral::xor_count_filter_into;
 use reis_nand::{FlashStats, OobEntry, OobLayout, ScanShardPlan};
 use reis_sched::WorkerPool;
 use reis_ssd::{RegionKind, SsdController, StripedRegion};
@@ -106,7 +111,7 @@ impl ScanCounts {
 /// the invariants it upholds.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
-    /// Per-chunk fail-bit counts of the current page.
+    /// Per-chunk fail-bit counts of the current page (latch path only).
     distances: Vec<u32>,
     /// `(slot, distance)` pairs that passed the distance filter on the
     /// current page.
@@ -139,10 +144,6 @@ pub struct ScanScratch {
     win_ranges: Vec<(usize, usize)>,
     /// Number of fine-search candidates requested (bounds `ttl.top`).
     pub(crate) candidate_count: usize,
-    /// Worker-local data-latch image of a read-only scan shard: the XOR of a
-    /// stored page against the broadcast query, computed here instead of in
-    /// the plane's (shared) page buffer.
-    xor_latch: Vec<u8>,
     /// Per-window passed-entry counts of the most recent fine scan, filled
     /// only when `record_windows` is set (telemetry enabled). A static scan
     /// logs one window; a windowed adaptive scan logs one count per barrier
@@ -154,8 +155,8 @@ pub struct ScanScratch {
     /// Whether the next fine scan should fill `window_log`.
     pub(crate) record_windows: bool,
     /// Per-page explain capture of the next fine scan (telemetry explain
-    /// mode): `Some` arms the capture. Only pages walked by the sequential
-    /// scan driver are captured, so explain traces are exact under
+    /// mode): `Some` arms the capture. Only pages scanned on this scratch —
+    /// not on a shard scratch — are captured, so explain traces are exact under
     /// [`ScanParallelism::pinned_sequential`](crate::config::ScanParallelism)
     /// and cover the sequentially scanned subset otherwise.
     pub(crate) explain_log: Option<Vec<reis_telemetry::ExplainEvent>>,
@@ -163,10 +164,10 @@ pub struct ScanScratch {
     /// (annotates explain events; maintained only while capturing).
     pub(crate) explain_window: u32,
     /// Per-shard scratches of an intra-query sharded scan, grown on first
-    /// use and reused across queries. Each scan shard's worker thread owns
-    /// one — its own latch image, distance buffer and Temporal Top List —
-    /// so shards run without shared mutable state, exactly like batch
-    /// workers one level up.
+    /// use and reused across queries. Each scan shard's worker owns one —
+    /// its own passing-slot buffer and Temporal Top List — so shards run
+    /// without shared mutable state, exactly like batch workers one level
+    /// up.
     shard_pool: Vec<ScanScratch>,
 }
 
@@ -402,32 +403,84 @@ pub(crate) fn coarse_scan_entry(
     })
 }
 
-/// Body of one scan-shard worker: scan `ranges` (offsets relative to
-/// `page_base` within the region) against the broadcast query, entirely in
-/// the worker's own [`ScanScratch`], and return the scan counts plus the
-/// flash activity to fold back into the primary device.
+/// Whether the embedding regions of `ssd` read error-free (the ESP-SLC
+/// default): the gate between scoring pages in place from their stored
+/// bytes — sequentially, sharded or fused across a batch — and sensing them
+/// through the plane latches, so that injected bit errors reach the
+/// distances.
+pub(crate) fn embedding_reads_error_free(ssd: &SsdController) -> bool {
+    let scheme = ssd.hybrid_policy().scheme_for(RegionKind::BinaryEmbeddings);
+    ssd.device().read_is_error_free(scheme)
+}
+
+/// Admit the passing `(slot, distance)` pairs of one scored page — left in
+/// `scratch.passing` by the scoring step — into the scratch's Temporal Top
+/// List, unpacking each survivor's OOB linkage, and log the page into an
+/// armed explain capture. `limit` is the number of slots the page scored.
+/// Shared by the borrowed and the sensed scan bodies, so both admit the same
+/// entries and count them the same way.
+fn admit_page<F>(
+    scratch: &mut ScanScratch,
+    counts: &mut ScanCounts,
+    oob: &[u8],
+    oob_layout: &OobLayout,
+    page_offset: usize,
+    limit: usize,
+    make_entry: &F,
+) -> Result<()>
+where
+    F: Fn(usize, usize, u32, OobEntry) -> Option<TtlEntry>,
+{
+    counts.pages += 1;
+    counts.slots_scanned += limit;
+    let entries_before = counts.entries_passed;
+    for &(slot, distance) in &scratch.passing {
+        let oob_entry = oob_layout.unpack_entry(oob, slot as usize)?;
+        if let Some(entry) = make_entry(page_offset, slot as usize, distance, oob_entry) {
+            counts.entries_passed += 1;
+            scratch.ttl.push(entry);
+        }
+    }
+    if let Some(events) = scratch.explain_log.as_mut() {
+        events.push(reis_telemetry::ExplainEvent {
+            page: page_offset as u32,
+            window: scratch.explain_window,
+            slots: limit as u32,
+            passed: (counts.entries_passed - entries_before) as u32,
+        });
+    }
+    Ok(())
+}
+
+/// The per-page body of every scan whose embedding reads are error-free:
+/// score the pages of `ranges` (offsets relative to `page_base` within
+/// `region`) in place from their stored bytes and append the admitted
+/// entries to `scratch`'s Temporal Top List. A sequential scan runs it
+/// inline on the engine's own scratch; each shard of a sharded scan runs it
+/// on a shard scratch of its own.
 ///
-/// The worker mirrors the mutable scan loop step for step — borrow the
-/// stored page (the sense), XOR it against the plane's cache latch into the
-/// worker's latch image, count fail bits per slot, filter by threshold,
-/// unpack OOB linkage for the survivors — but never touches shared state:
-/// the controller is only read, and every operation that the sequential
-/// path counts on the device (`page_reads`, `xor_ops`, `bit_count_ops`,
-/// `pass_fail_ops`, TTL channel bytes) is tallied locally instead.
+/// Per page it borrows the stored bytes through
+/// [`SsdController::scan_region_page`] (the sense), reads the plane's
+/// cache-latch image — failing with `LatchEmpty` if no query was broadcast
+/// — and XOR-popcounts every slot against the image in one pass with
+/// [`xor_count_filter_into`]. The whole image takes part, so the distances
+/// are exact for any cache-latch contents. The controller is only read:
+/// the operations the latch path counts on the device (`page_reads`,
+/// `xor_ops`, `bit_count_ops` and `pass_fail_ops` per page, the TTL channel
+/// bytes of a completed scan) are tallied in the returned [`FlashStats`]
+/// for the caller to absorb.
 ///
 /// Counts and flash activity are returned even when the scan fails, so the
-/// work a shard performed before the error is still folded into the
-/// primary's counters — matching the sequential path, which counts each
-/// operation on the device as it happens.
+/// work done before the error is still accounted — as the latch path, which
+/// counts each operation on the device as it happens, would have it.
 #[allow(clippy::too_many_arguments)]
-fn scan_shard_pages<F>(
+fn scan_borrowed_pages<F>(
     ssd: &SsdController,
     region: &StripedRegion,
     ranges: &[(usize, usize)],
     page_base: usize,
     slot_bytes: usize,
     threshold: u32,
-    oob_entries_per_page: usize,
     oob_layout: &OobLayout,
     entry_bytes: usize,
     scratch: &mut ScanScratch,
@@ -438,57 +491,48 @@ where
 {
     let mut counts = ScanCounts::default();
     let mut flash = FlashStats::new();
-    scratch.ttl.clear();
-    let ScanScratch {
-        ttl,
-        distances,
-        passing,
-        xor_latch,
-        ..
-    } = scratch;
     let mut scan = || -> Result<()> {
         for &(start, end) in ranges {
             for offset in start..end {
                 let page_offset = page_base + offset;
                 let (addr, data, oob) = ssd.scan_region_page(region, page_offset)?;
-                // The borrowed read stands in for the sense; count it like
-                // the sequential path's sense_page does.
                 flash.page_reads += 1;
-                // The broadcast query tiled into this plane's cache latch.
-                let query = ssd
+                let image = ssd
                     .device()
                     .page_buffer(addr.plane_addr())?
                     .read_latch(Latch::Cache)?;
-                XorLogic::xor_into(data, query, xor_latch);
-                flash.xor_ops += 1;
-                FailBitCounter::count_per_chunk_into(xor_latch, slot_bytes, distances);
-                flash.bit_count_ops += 1;
-                let limit = distances.len().min(oob_entries_per_page);
-                counts.pages += 1;
-                counts.slots_scanned += limit;
-                passing.clear();
-                PassFailChecker::filter_passing(
-                    &distances[..limit],
+                let limit = data
+                    .len()
+                    .div_ceil(slot_bytes)
+                    .min(oob_layout.entries_per_page);
+                xor_count_filter_into(
+                    data,
+                    image,
+                    slot_bytes,
+                    limit,
                     threshold,
-                    |slot, distance| passing.push((slot as u32, distance)),
+                    &mut scratch.passing,
                 );
+                flash.xor_ops += 1;
+                flash.bit_count_ops += 1;
                 flash.pass_fail_ops += 1;
-                for &(slot, distance) in passing.iter() {
-                    let oob_entry = oob_layout.unpack_entry(oob, slot as usize)?;
-                    if let Some(entry) = make_entry(page_offset, slot as usize, distance, oob_entry)
-                    {
-                        counts.entries_passed += 1;
-                        ttl.push(entry);
-                    }
-                }
+                admit_page(
+                    scratch,
+                    &mut counts,
+                    oob,
+                    oob_layout,
+                    page_offset,
+                    limit,
+                    make_entry,
+                )?;
             }
         }
         Ok(())
     };
     let error = scan().err();
     if error.is_none() {
-        // The aggregate channel traffic of this shard's transferred entries
-        // (the sequential path, too, only accounts it after a whole scan).
+        // The aggregate channel traffic of the transferred entries, accounted
+        // once per completed scan.
         flash.bytes_to_controller += (entry_bytes * counts.entries_passed) as u64;
     }
     (counts, flash, error)
@@ -524,15 +568,33 @@ impl<'a> InStorageEngine<'a> {
         Ok(())
     }
 
+    /// The shard count [`ScanParallelism`](crate::config::ScanParallelism)
+    /// allows for a scan of the pages in `ranges`.
+    fn shards_for(&self, ranges: &[(usize, usize)]) -> usize {
+        let geometry = self.ssd.config().geometry;
+        let pages = ranges.iter().map(|&(start, end)| end - start).sum();
+        self.config
+            .scan_parallelism
+            .effective_shards(ScanShardPlan::scan_units(&geometry), pages)
+    }
+
     /// Scan the pages of `ranges` (offsets relative to `page_base` within
-    /// the embedding region), computing in-plane distances with the fused
-    /// count-and-filter path and appending the TTL entries that pass the
-    /// distance filter to the scratch's Temporal Top List.
+    /// `region`) against the broadcast query, computing in-plane distances,
+    /// filtering them by `threshold` and appending the TTL entries that
+    /// pass to the scratch's Temporal Top List.
     ///
     /// `make_entry` converts a passing `(page_offset, slot, distance,
     /// oob_entry)` into a TTL entry, or returns `None` to skip slots outside
     /// the caller's range of interest. The whole loop reuses the scratch
     /// buffers — no allocation per page.
+    ///
+    /// Error-free embedding reads run [`scan_borrowed_pages`]: inline on the
+    /// engine's scratch for one shard, or split into `shards`
+    /// per-channel/per-die shards on the worker pool. Error-prone reads
+    /// must carry their injected bit errors into the distances, so they
+    /// sense every page into its plane's latches instead, sequentially
+    /// (see `scan_sensed_pages`). Either way the candidates, counts and
+    /// flash statistics equal those of a sequential latch-path scan.
     #[allow(clippy::too_many_arguments)]
     fn scan_pages<F>(
         &mut self,
@@ -542,29 +604,100 @@ impl<'a> InStorageEngine<'a> {
         slot_bytes: usize,
         threshold: u32,
         oob_entries_per_page: usize,
-        mut make_entry: F,
+        shards: usize,
+        make_entry: &F,
     ) -> Result<ScanCounts>
     where
-        F: FnMut(usize, usize, u32, reis_nand::OobEntry) -> Option<TtlEntry>,
+        F: Fn(usize, usize, u32, OobEntry) -> Option<TtlEntry> + Sync,
     {
         let geometry = self.ssd.config().geometry;
-        let oob_layout = reis_nand::OobLayout::new(geometry.oob_size_bytes, oob_entries_per_page)?;
+        let oob_layout = OobLayout::new(geometry.oob_size_bytes, oob_entries_per_page)?;
+        let entry_bytes = slot_bytes + self.config.ttl_metadata_bytes;
+        if !embedding_reads_error_free(self.ssd) {
+            return self.scan_sensed_pages(
+                region,
+                ranges,
+                page_base,
+                slot_bytes,
+                threshold,
+                &oob_layout,
+                entry_bytes,
+                make_entry,
+            );
+        }
+        let (counts, flash, error) = if shards > 1 {
+            let plan = ScanShardPlan::build(&geometry, shards, ranges, |offset| {
+                region
+                    .page_at(&geometry, page_base + offset)
+                    .map(|addr| addr.plane_addr())
+            })?;
+            self.scan_shards(
+                region,
+                &plan,
+                page_base,
+                slot_bytes,
+                threshold,
+                &oob_layout,
+                entry_bytes,
+                make_entry,
+            )?
+        } else {
+            scan_borrowed_pages(
+                self.ssd,
+                region,
+                ranges,
+                page_base,
+                slot_bytes,
+                threshold,
+                &oob_layout,
+                entry_bytes,
+                self.scratch,
+                make_entry,
+            )
+        };
+        self.ssd.device_mut().absorb_stats(&flash);
+        match error {
+            Some(error) => Err(error),
+            None => Ok(counts),
+        }
+    }
+
+    /// The latch path of a scan, for embedding regions whose reads are not
+    /// error-free: sense every page into its plane's sensing latch (which
+    /// injects the scheme's raw bit errors), XOR it against the cache latch
+    /// into the data latch, count fail bits per slot and filter — each step
+    /// a device operation that counts itself.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_sensed_pages<F>(
+        &mut self,
+        region: &StripedRegion,
+        ranges: &[(usize, usize)],
+        page_base: usize,
+        slot_bytes: usize,
+        threshold: u32,
+        oob_layout: &OobLayout,
+        entry_bytes: usize,
+        make_entry: &F,
+    ) -> Result<ScanCounts>
+    where
+        F: Fn(usize, usize, u32, OobEntry) -> Option<TtlEntry>,
+    {
+        let geometry = self.ssd.config().geometry;
         let mut counts = ScanCounts::default();
         for &(start, end) in ranges {
             for offset in start..end {
                 let page_offset = page_base + offset;
                 let addr = region.page_at(&geometry, page_offset)?;
+                let plane = addr.plane_addr();
                 let device = self.ssd.device_mut();
                 device.sense_page(addr)?;
-                device.xor_latches(addr.plane_addr())?;
-                device.count_fail_bits_into(
-                    addr.plane_addr(),
-                    slot_bytes,
-                    &mut self.scratch.distances,
-                )?;
-                let limit = self.scratch.distances.len().min(oob_entries_per_page);
-                counts.pages += 1;
-                counts.slots_scanned += limit;
+                device.xor_latches(plane)?;
+                device.count_fail_bits_into(plane, slot_bytes, &mut self.scratch.distances)?;
+                let limit = self
+                    .scratch
+                    .distances
+                    .len()
+                    .min(oob_layout.entries_per_page);
                 let passing = &mut self.scratch.passing;
                 passing.clear();
                 device.pass_fail_filter(
@@ -572,35 +705,19 @@ impl<'a> InStorageEngine<'a> {
                     threshold,
                     |slot, distance| passing.push((slot as u32, distance)),
                 );
-                // The OOB bytes are borrowed straight from the plane buffer;
-                // they were sensed together with the page.
-                let oob = self
-                    .ssd
-                    .device()
-                    .page_buffer(addr.plane_addr())?
-                    .oob()
-                    .unwrap_or(&[]);
-                let entries_before = counts.entries_passed;
-                for &(slot, distance) in &self.scratch.passing {
-                    let oob_entry = oob_layout.unpack_entry(oob, slot as usize)?;
-                    if let Some(entry) = make_entry(page_offset, slot as usize, distance, oob_entry)
-                    {
-                        counts.entries_passed += 1;
-                        self.scratch.ttl.push(entry);
-                    }
-                }
-                if let Some(events) = self.scratch.explain_log.as_mut() {
-                    events.push(reis_telemetry::ExplainEvent {
-                        page: page_offset as u32,
-                        window: self.scratch.explain_window,
-                        slots: limit as u32,
-                        passed: (counts.entries_passed - entries_before) as u32,
-                    });
-                }
+                // The OOB bytes were sensed together with the page.
+                let oob = self.ssd.device().page_buffer(plane)?.oob().unwrap_or(&[]);
+                admit_page(
+                    self.scratch,
+                    &mut counts,
+                    oob,
+                    oob_layout,
+                    page_offset,
+                    limit,
+                    make_entry,
+                )?;
             }
         }
-        // Account the aggregate channel traffic of all transferred entries.
-        let entry_bytes = slot_bytes + self.config.ttl_metadata_bytes;
         self.ssd
             .device_mut()
             .transfer_to_controller(entry_bytes * counts.entries_passed);
@@ -609,40 +726,30 @@ impl<'a> InStorageEngine<'a> {
 
     /// Scan the planned shards of one query concurrently — one task per
     /// non-empty shard on the persistent worker pool (or one scoped
-    /// `std::thread` under [`ScanExecutor::SpawnScoped`]) — and merge the
-    /// shard-local results.
-    ///
-    /// Each worker shares the controller *immutably*: it borrows stored
-    /// pages through [`SsdController::scan_region_page`], reads the
-    /// broadcast query from the scanned plane's cache latch, and computes
-    /// the XOR + fail-bit counts in its own [`ScanScratch`] instead of the
-    /// plane's page buffer. Flash activity is tallied in shard-local
-    /// [`FlashStats`] and absorbed into the primary device after the shards
-    /// join, and the shard-local Temporal Top Lists are concatenated into
-    /// the engine's TTL — [`TemporalTopList::quickselect`]'s total-order
-    /// tie-break then makes the final candidate set bit-identical to a
-    /// sequential scan of the same pages.
-    ///
-    /// Only valid for regions whose reads are error-free (the ESP-SLC
-    /// embedding regions); the caller gates on
-    /// [`reis_nand::FlashDevice::read_is_error_free`].
+    /// `std::thread` under [`ScanExecutor::SpawnScoped`]) — each running
+    /// [`scan_borrowed_pages`] on its own shard scratch, and merge the
+    /// shard-local results: counts and flash activity are summed in shard
+    /// order (a failing shard's work included, its error returned as the
+    /// third element) and the shard-local Temporal Top Lists are
+    /// concatenated into the engine's TTL.
+    /// [`TemporalTopList::quickselect`]'s total-order tie-break then makes
+    /// the final candidate set bit-identical to a sequential scan of the
+    /// same pages. Only a worker panic fails the call itself.
     #[allow(clippy::too_many_arguments)]
-    fn scan_pages_sharded<F>(
+    fn scan_shards<F>(
         &mut self,
         region: &StripedRegion,
         plan: &ScanShardPlan,
         page_base: usize,
         slot_bytes: usize,
         threshold: u32,
-        oob_entries_per_page: usize,
-        make_entry: F,
-    ) -> Result<ScanCounts>
+        oob_layout: &OobLayout,
+        entry_bytes: usize,
+        make_entry: &F,
+    ) -> Result<(ScanCounts, FlashStats, Option<ReisError>)>
     where
         F: Fn(usize, usize, u32, OobEntry) -> Option<TtlEntry> + Sync,
     {
-        let geometry = self.ssd.config().geometry;
-        let oob_layout = OobLayout::new(geometry.oob_size_bytes, oob_entries_per_page)?;
-        let entry_bytes = slot_bytes + self.config.ttl_metadata_bytes;
         let ScanScratch {
             ttl, shard_pool, ..
         } = &mut *self.scratch;
@@ -651,8 +758,6 @@ impl<'a> InStorageEngine<'a> {
         }
 
         let ssd: &SsdController = self.ssd;
-        let oob_layout = &oob_layout;
-        let make_entry = &make_entry;
         let shard_outputs: Vec<(ScanCounts, FlashStats, Option<ReisError>)> =
             match self.config.scan_executor {
                 // The persistent pool: one queued task per non-empty shard, no
@@ -674,14 +779,13 @@ impl<'a> InStorageEngine<'a> {
                             jobs.into_iter().zip(outputs.iter_mut())
                         {
                             scope.spawn(move |_ctx| {
-                                *output = Some(scan_shard_pages(
+                                *output = Some(scan_borrowed_pages(
                                     ssd,
                                     region,
                                     shard.ranges(),
                                     page_base,
                                     slot_bytes,
                                     threshold,
-                                    oob_entries_per_page,
                                     oob_layout,
                                     entry_bytes,
                                     shard_scratch,
@@ -715,14 +819,13 @@ impl<'a> InStorageEngine<'a> {
                         .filter(|(shard, _)| !shard.is_empty())
                         .map(|(shard, shard_scratch)| {
                             scope.spawn(move || {
-                                scan_shard_pages(
+                                scan_borrowed_pages(
                                     ssd,
                                     region,
                                     shard.ranges(),
                                     page_base,
                                     slot_bytes,
                                     threshold,
-                                    oob_entries_per_page,
                                     oob_layout,
                                     entry_bytes,
                                     shard_scratch,
@@ -738,12 +841,10 @@ impl<'a> InStorageEngine<'a> {
                 }),
             };
 
-        // Merge shard results in shard order: counts and flash activity are
-        // additive, candidates are concatenated (selection is order-free).
         // Every shard — including a failing one — performed real flash
-        // work, so the stats merge happens before any error is surfaced,
-        // mirroring both the batch path's merge-then-fail policy and the
-        // sequential path's count-as-you-go device statistics.
+        // work, so the caller absorbs the merged stats before any error is
+        // surfaced, mirroring the batch path's merge-then-fail policy and
+        // the latch path's count-as-you-go device statistics.
         let mut counts = ScanCounts::default();
         let mut flash = FlashStats::new();
         let mut first_error = None;
@@ -757,11 +858,7 @@ impl<'a> InStorageEngine<'a> {
         for shard_scratch in shard_pool.iter_mut() {
             ttl.absorb(&mut shard_scratch.ttl);
         }
-        self.ssd.device_mut().absorb_stats(&flash);
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(counts),
-        }
+        Ok((counts, flash, first_error))
     }
 
     /// Coarse-grained search: scan the centroid pages and return the
@@ -788,7 +885,8 @@ impl<'a> InStorageEngine<'a> {
             // Centroid scan is never filtered: every cluster distance is needed.
             u32::MAX,
             epp,
-            |page, slot, distance, oob| {
+            1,
+            &|page, slot, distance, oob| {
                 coarse_scan_entry(epp, centroids, page, slot, distance, oob)
             },
         )?;
@@ -868,29 +966,6 @@ impl<'a> InStorageEngine<'a> {
             None
         };
 
-        // Intra-query sharding decision: how many channel/die shards this
-        // scan is worth, and whether the read-only shard path is exact for
-        // the embedding region (error-free ESP reads). Adaptive scans make
-        // the same decision per window (a window is the unit of parallel
-        // work between two barriers), via the same `effective_shards` rule.
-        let geometry = self.ssd.config().geometry;
-        let scan_pages_total: usize = self
-            .scratch
-            .page_ranges
-            .iter()
-            .map(|&(start, end)| end - start)
-            .sum();
-        let shard_count = self
-            .config
-            .scan_parallelism
-            .effective_shards(ScanShardPlan::scan_units(&geometry), scan_pages_total);
-        let embedding_scheme = self
-            .ssd
-            .hybrid_policy()
-            .scheme_for(RegionKind::BinaryEmbeddings);
-        let shards_exact = self.ssd.device().read_is_error_free(embedding_scheme);
-        let use_shards = shard_count > 1 && shards_exact;
-
         // Temporarily move the range buffers out of the scratch so the scan
         // (which borrows the engine mutably) can read them.
         let pages = std::mem::take(&mut self.scratch.page_ranges);
@@ -913,17 +988,10 @@ impl<'a> InStorageEngine<'a> {
         };
 
         let scanned = match adapt {
-            None => {
-                self.fine_scan_static(db, &pages, threshold, use_shards, shard_count, &make_entry)
+            None => self.fine_scan_static(db, &pages, threshold, &make_entry),
+            Some(candidates) => {
+                self.fine_scan_windowed(db, &pages, threshold, candidates, &make_entry)
             }
-            Some(candidates) => self.fine_scan_windowed(
-                db,
-                &pages,
-                threshold,
-                candidates,
-                shards_exact,
-                &make_entry,
-            ),
         };
         self.scratch.page_ranges = pages;
         self.scratch.valid_ranges = valid;
@@ -936,7 +1004,7 @@ impl<'a> InStorageEngine<'a> {
     }
 
     /// Static-threshold fine scan: the merged base ranges in one pass
-    /// (sharded across channel/die workers when `use_shards`), then the
+    /// (sharded across channel/die workers when large enough), then the
     /// probed clusters' segment runs sequentially. Candidates join the
     /// scratch's Temporal Top List; the total-order quickselect keeps the
     /// combined result deterministic. OOB validity (the RADR sentinel of
@@ -947,8 +1015,6 @@ impl<'a> InStorageEngine<'a> {
         db: &DeployedDatabase,
         pages: &[(usize, usize)],
         threshold: u32,
-        use_shards: bool,
-        shard_count: usize,
         make_entry: &F,
     ) -> Result<ScanCounts>
     where
@@ -957,39 +1023,17 @@ impl<'a> InStorageEngine<'a> {
         let layout = db.layout;
         let epp = layout.embeddings_per_page;
         let slot_bytes = layout.embedding_slot_bytes;
-        let geometry = self.ssd.config().geometry;
-        let region = &db.record.embedding_region;
-        let mut counts = if use_shards {
-            // Plan per-channel/per-die shards over the merged ranges, then
-            // scan them concurrently and merge the shard-local TTLs.
-            let plan = ScanShardPlan::build(&geometry, shard_count, pages, |offset| {
-                region
-                    .page_at(&geometry, layout.centroid_pages + offset)
-                    .map(|addr| addr.plane_addr())
-            });
-            match plan {
-                Ok(plan) => self.scan_pages_sharded(
-                    region,
-                    &plan,
-                    layout.centroid_pages,
-                    slot_bytes,
-                    threshold,
-                    epp,
-                    make_entry,
-                )?,
-                Err(error) => return Err(error.into()),
-            }
-        } else {
-            self.scan_pages(
-                region,
-                pages,
-                layout.centroid_pages,
-                slot_bytes,
-                threshold,
-                epp,
-                make_entry,
-            )?
-        };
+        let shards = self.shards_for(pages);
+        let mut counts = self.scan_pages(
+            &db.record.embedding_region,
+            pages,
+            layout.centroid_pages,
+            slot_bytes,
+            threshold,
+            epp,
+            shards,
+            make_entry,
+        )?;
 
         // Append-segment pass: entries inserted since deployment live in
         // per-cluster segment runs that the base region does not cover.
@@ -1008,7 +1052,8 @@ impl<'a> InStorageEngine<'a> {
                         slot_bytes,
                         threshold,
                         epp,
-                        |_page, _slot, distance, oob| {
+                        1,
+                        &|_page, _slot, distance, oob| {
                             segment_scan_entry(store, base_capacity, distance, oob)
                         },
                     )?;
@@ -1052,7 +1097,6 @@ impl<'a> InStorageEngine<'a> {
         pages: &[(usize, usize)],
         mut threshold: u32,
         candidate_count: usize,
-        shards_exact: bool,
         make_entry: &F,
     ) -> Result<ScanCounts>
     where
@@ -1061,8 +1105,6 @@ impl<'a> InStorageEngine<'a> {
         let layout = db.layout;
         let epp = layout.embeddings_per_page;
         let slot_bytes = layout.embedding_slot_bytes;
-        let geometry = self.ssd.config().geometry;
-        let scan_units = ScanShardPlan::scan_units(&geometry);
         let window = self.config.adaptive_window_pages.max(1);
         let base_capacity = db.updates.base_capacity;
         let store = &db.updates.store;
@@ -1108,40 +1150,17 @@ impl<'a> InStorageEngine<'a> {
                     }
                 }
                 if !win_ranges.is_empty() {
-                    let win_pages: usize = win_ranges.iter().map(|&(s, e)| e - s).sum();
-                    let wshards = engine
-                        .config
-                        .scan_parallelism
-                        .effective_shards(scan_units, win_pages);
-                    let scanned = if wshards > 1 && shards_exact {
-                        let plan = ScanShardPlan::build(&geometry, wshards, win_ranges, |offset| {
-                            region
-                                .page_at(&geometry, layout.centroid_pages + offset)
-                                .map(|addr| addr.plane_addr())
-                        });
-                        match plan {
-                            Ok(plan) => engine.scan_pages_sharded(
-                                region,
-                                &plan,
-                                layout.centroid_pages,
-                                slot_bytes,
-                                threshold,
-                                epp,
-                                make_entry,
-                            )?,
-                            Err(error) => return Err(error.into()),
-                        }
-                    } else {
-                        engine.scan_pages(
-                            region,
-                            win_ranges,
-                            layout.centroid_pages,
-                            slot_bytes,
-                            threshold,
-                            epp,
-                            make_entry,
-                        )?
-                    };
+                    let shards = engine.shards_for(win_ranges);
+                    let scanned = engine.scan_pages(
+                        region,
+                        win_ranges,
+                        layout.centroid_pages,
+                        slot_bytes,
+                        threshold,
+                        epp,
+                        shards,
+                        make_entry,
+                    )?;
                     counts.absorb(scanned);
                 }
 
@@ -1158,6 +1177,7 @@ impl<'a> InStorageEngine<'a> {
                             slot_bytes,
                             threshold,
                             epp,
+                            1,
                             &seg_entry,
                         )?;
                         counts.absorb(seg_counts);

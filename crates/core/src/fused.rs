@@ -7,10 +7,10 @@
 //! the loop, the way REIS amortizes flash sensing across in-flight queries:
 //! the batch's probed pages are computed up front, each distinct page is
 //! sensed **once** through the borrowed
-//! [`SsdController::scan_region_page`] path, and the fused multi-query
-//! kernel ([`FailBitCounter::count_fused_into`]) scores the sensed page
-//! against every query whose selection covers it in a single pass over the
-//! page words. Each query accumulates candidates in its own Temporal Top
+//! [`SsdController::scan_region_page`] path, and the threshold-aware fused
+//! multi-query kernel ([`PassFailChecker::filter_fused`]) scores the sensed
+//! page against every query whose selection covers it in a single pass over
+//! the page. Each query accumulates candidates in its own Temporal Top
 //! List, and the downstream phases (quickselect, INT8 rerank, document
 //! fetch) run per query on the shared controller.
 //!
@@ -136,13 +136,12 @@ enum Phase {
 }
 
 /// Reusable buffers of one fused scoring loop: the active queries' padded
-/// images and current thresholds, the kernel's per-query accumulator and
-/// the emitted hits. One set serves one thread; workers own their own.
+/// images and current thresholds, and the emitted hits. One set serves one
+/// thread; workers own their own.
 #[derive(Default)]
 struct ScoreBufs<'a> {
     queries: Vec<&'a [u8]>,
     thresholds: Vec<u32>,
-    acc: Vec<u32>,
     hits: Vec<FusedHit>,
 }
 
@@ -154,7 +153,7 @@ struct ScoreBufs<'a> {
 /// the duration of a window under the windowed adaptive schedule (barrier
 /// tightening is the caller's job), and the static paper threshold
 /// otherwise. [`PassFailChecker::filter_fused`] folds the per-query
-/// comparison into the single pass over the page words and emits hits
+/// comparison into the single pass over the page and emits hits
 /// chunk-major, so the OOB linkage of a slot unpacks once for every query
 /// that passed it. `make_entry` maps `(query, page, slot, distance, oob)`
 /// to an admitted entry.
@@ -176,7 +175,6 @@ fn score_page<'a>(
     let ScoreBufs {
         queries,
         thresholds,
-        acc,
         hits,
     } = bufs;
     queries.clear();
@@ -185,7 +183,7 @@ fn score_page<'a>(
     thresholds.extend(active.iter().map(|&q| states[q].threshold));
     let n_chunks = data.len().div_ceil(slot_bytes);
     let limit = n_chunks.min(epp);
-    PassFailChecker::filter_fused(data, slot_bytes, limit, queries, thresholds, acc, hits);
+    PassFailChecker::filter_fused(data, slot_bytes, limit, queries, thresholds, hits);
     for &q in active {
         let state = &mut states[q];
         let phase_counts = match phase {

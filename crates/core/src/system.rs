@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
 use reis_persist::WalRecord;
-use reis_ssd::{ControllerActivity, RegionKind, SsdController, SsdMode};
+use reis_ssd::{ControllerActivity, SsdController, SsdMode};
 use reis_telemetry::{
     CounterId, ExplainEvent, ExplainTrace, GaugeId, HistogramId, QueryTrace, Span, Telemetry,
 };
@@ -29,7 +29,7 @@ use crate::database::VectorDatabase;
 use crate::deploy::{self, DeployedDatabase};
 use crate::durable::Durability;
 use crate::energy::{EnergyBreakdown, EnergyModel};
-use crate::engine::{InStorageEngine, ScanScratch};
+use crate::engine::{self, InStorageEngine, ScanScratch};
 use crate::error::{ReisError, Result};
 use crate::fused;
 use crate::mutate::{self, CompactionOutcome, MutationOutcome};
@@ -875,18 +875,11 @@ impl ReisSystem {
         // every distinct probed page is sensed once and scored against all
         // covering queries; per-query outcomes are bit-identical to
         // sequential search. Exactness of the borrowed page reads requires
-        // error-free embedding reads (ESP-SLC), the same gate the
-        // intra-query shard path applies; otherwise — or when configured —
+        // error-free embedding reads (ESP-SLC), the same gate that lets the
+        // engine score pages in place; otherwise — or when configured —
         // fall back to the per-worker replica path below.
-        let embedding_scheme = self
-            .controller
-            .hybrid_policy()
-            .scheme_for(RegionKind::BinaryEmbeddings);
         if self.config.batch_fusion == BatchFusion::Fused
-            && self
-                .controller
-                .device()
-                .read_is_error_free(embedding_scheme)
+            && engine::embedding_reads_error_free(&self.controller)
         {
             let shard_budget = workers.clamp(1, self.auto_shards.max(1));
             self.telemetry.count(CounterId::FusedBatches, 1);

@@ -20,18 +20,32 @@
 //! * The `_into` variants write into caller-provided buffers, so steady-state
 //!   page scans perform no heap allocation here.
 //!
-//! # The fused multi-query kernel
+//! # The single-pass scan kernel
+//!
+//! [`xor_count_filter_into`] scores one stored page in place against an
+//! equally long latch image (the broadcast query tiled across the page):
+//! each slot is XOR-popcounted against the image bytes at the same offset
+//! and only the `(slot, distance)` pairs that pass the threshold are
+//! emitted. It computes exactly what [`xor_bytes_into`], then
+//! [`count_per_chunk_into`], then a threshold pass compute, in one pass
+//! and without writing a page-sized intermediate. The two-pass kernels stay
+//! for the latch path that senses a page into its plane's buffers.
+//!
+//! # The fused multi-query kernels
 //!
 //! [`fused_hamming_per_chunk_into`] scores one sensed page against `B`
-//! broadcast queries in a single pass over the page words: each page word is
-//! loaded once and XOR-popcounted against the corresponding word of every
-//! query. This is the software mirror of REIS amortizing a flash sense
-//! across a batch of in-flight queries — the page moves through the
-//! peripheral once, the per-query XOR + fail-bit count runs `B` times.
+//! broadcast queries in a single pass over the page: each page chunk is
+//! loaded once and XOR-popcounted against every query while it sits in L1.
+//! This is the software mirror of REIS amortizing a flash sense across a
+//! batch of in-flight queries — the page moves through the peripheral
+//! once, the per-query XOR + fail-bit count runs `B` times.
 //! [`fused_hamming_filter_into`] additionally folds the pass/fail
 //! comparison into the same pass: each query carries its own threshold
 //! (fixed for the duration of one page window under the windowed adaptive
 //! schedule) and only passing [`FusedHit`]s are emitted.
+//!
+//! All three scoring kernels share one XOR-popcount body and its POPCNT
+//! dispatch.
 //!
 //! # CRC32C
 //!
@@ -219,28 +233,94 @@ pub fn count_per_chunk_into(latch: &[u8], chunk_bytes: usize, out: &mut Vec<u32>
     core(latch, chunk_bytes, out);
 }
 
-/// Body of the fused multi-query kernel: each `chunk_bytes` page chunk is
-/// walked word by word, each page word loaded once and XOR-popcounted
-/// against the matching word of every query.
+/// Body of the single-pass scan kernel: XOR-popcount each of the first
+/// `slot_limit` chunks of `page` against the equally placed chunk of
+/// `image` and emit the `(slot, distance)` pairs at or below `threshold`.
+#[inline(always)]
+fn xor_count_filter_core(
+    page: &[u8],
+    image: &[u8],
+    chunk_bytes: usize,
+    slot_limit: usize,
+    threshold: u32,
+    out: &mut Vec<(u32, u32)>,
+) {
+    let chunks = page.chunks(chunk_bytes).zip(image.chunks(chunk_bytes));
+    for (slot, (chunk, query)) in chunks.take(slot_limit).enumerate() {
+        let distance = hamming_core(chunk, query);
+        if distance <= threshold {
+            out.push((slot as u32, distance));
+        }
+    }
+}
+
+/// `xor_count_filter_core` compiled with the hardware POPCNT instruction.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports the `popcnt` feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+unsafe fn xor_count_filter_popcnt(
+    page: &[u8],
+    image: &[u8],
+    chunk_bytes: usize,
+    slot_limit: usize,
+    threshold: u32,
+    out: &mut Vec<(u32, u32)>,
+) {
+    xor_count_filter_core(page, image, chunk_bytes, slot_limit, threshold, out)
+}
+
+/// Single-pass scan kernel: score the first `slot_limit` `chunk_bytes`-sized
+/// chunks (slots) of one stored `page` against an equally long latch
+/// `image` and write the `(slot, distance)` pairs whose Hamming distance is
+/// at or below `threshold` into `out` (cleared first), in ascending slot
+/// order.
+///
+/// The result equals [`xor_bytes_into`] of the page and the image, then
+/// [`count_per_chunk_into`], then a threshold pass over the first
+/// `slot_limit` counts — but each page word is loaded once and nothing
+/// page-sized is written. The whole image takes part, not just its first
+/// slot, so the result is exact for any image contents. A trailing partial
+/// chunk is scored as its own slot.
+///
+/// # Panics
+///
+/// Panics if `chunk_bytes` is zero or `page` and `image` differ in length.
+pub fn xor_count_filter_into(
+    page: &[u8],
+    image: &[u8],
+    chunk_bytes: usize,
+    slot_limit: usize,
+    threshold: u32,
+    out: &mut Vec<(u32, u32)>,
+) {
+    assert!(chunk_bytes > 0, "chunk size must be non-zero");
+    assert_eq!(
+        page.len(),
+        image.len(),
+        "latch contents must have identical sizes"
+    );
+    out.clear();
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        // SAFETY: feature presence checked at runtime just above.
+        unsafe { xor_count_filter_popcnt(page, image, chunk_bytes, slot_limit, threshold, out) };
+        return;
+    }
+    xor_count_filter_core(page, image, chunk_bytes, slot_limit, threshold, out);
+}
+
+/// Body of the fused multi-query kernel: for each `chunk_bytes` page chunk,
+/// the XOR-popcount of `hamming_core` against every query in turn (the
+/// chunk stays in L1 across the queries).
 #[inline(always)]
 fn fused_core(latch: &[u8], chunk_bytes: usize, queries: &[&[u8]], out: &mut [u32]) {
     let n_chunks = latch.len().div_ceil(chunk_bytes);
     for (c, chunk) in latch.chunks(chunk_bytes).enumerate() {
-        let mut words = chunk.chunks_exact(8);
-        let mut offset = 0usize;
-        for w in words.by_ref() {
-            let page_word = word(w);
-            for (q, query) in queries.iter().enumerate() {
-                let query_word = word(&query[offset..offset + 8]);
-                out[q * n_chunks + c] += (page_word ^ query_word).count_ones();
-            }
-            offset += 8;
-        }
-        for &b in words.remainder() {
-            for (q, query) in queries.iter().enumerate() {
-                out[q * n_chunks + c] += (b ^ query[offset]).count_ones();
-            }
-            offset += 1;
+        for (q, query) in queries.iter().enumerate() {
+            out[q * n_chunks + c] = hamming_core(chunk, &query[..chunk.len()]);
         }
     }
 }
@@ -258,7 +338,7 @@ unsafe fn fused_popcnt(latch: &[u8], chunk_bytes: usize, queries: &[&[u8]], out:
 
 /// Fused multi-query Hamming kernel: score every `chunk_bytes`-sized chunk
 /// of `latch` (one sensed page) against each query in a single pass over the
-/// page words.
+/// page chunks.
 ///
 /// `out` is cleared and filled query-major: the counts of query `q` occupy
 /// `out[q * n_chunks .. (q + 1) * n_chunks]`, where
@@ -268,8 +348,8 @@ unsafe fn fused_popcnt(latch: &[u8], chunk_bytes: usize, queries: &[&[u8]], out:
 /// query tiled across the whole latch would.
 ///
 /// The result equals running [`count_per_chunk_into`] over the XOR of the
-/// page with each query's tiling, one query at a time — but the page words
-/// are loaded once for all queries.
+/// page with each query's tiling, one query at a time — but each page
+/// chunk is loaded once for all queries.
 ///
 /// # Panics
 ///
@@ -321,9 +401,9 @@ pub struct FusedHit {
     pub distance: u32,
 }
 
-/// Body of the threshold-aware fused kernel: walk each chunk's words once,
-/// accumulate the per-query distances in `acc`, then emit the queries whose
-/// distance passes their own threshold.
+/// Body of the threshold-aware fused kernel: for each chunk, score every
+/// query in turn and emit the ones whose distance passes their own
+/// threshold.
 #[inline(always)]
 fn fused_filter_core(
     latch: &[u8],
@@ -331,28 +411,11 @@ fn fused_filter_core(
     slot_limit: usize,
     queries: &[&[u8]],
     thresholds: &[u32],
-    acc: &mut [u32],
     out: &mut Vec<FusedHit>,
 ) {
     for (c, chunk) in latch.chunks(chunk_bytes).take(slot_limit).enumerate() {
-        acc.fill(0);
-        let mut words = chunk.chunks_exact(8);
-        let mut offset = 0usize;
-        for w in words.by_ref() {
-            let page_word = word(w);
-            for (q, query) in queries.iter().enumerate() {
-                let query_word = word(&query[offset..offset + 8]);
-                acc[q] += (page_word ^ query_word).count_ones();
-            }
-            offset += 8;
-        }
-        for &b in words.remainder() {
-            for (q, query) in queries.iter().enumerate() {
-                acc[q] += (b ^ query[offset]).count_ones();
-            }
-            offset += 1;
-        }
-        for (q, (&distance, &threshold)) in acc.iter().zip(thresholds).enumerate() {
+        for (q, (query, &threshold)) in queries.iter().zip(thresholds).enumerate() {
+            let distance = hamming_core(chunk, &query[..chunk.len()]);
             if distance <= threshold {
                 out.push(FusedHit {
                     query: q as u32,
@@ -371,39 +434,28 @@ fn fused_filter_core(
 /// The caller must ensure the CPU supports the `popcnt` feature.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn fused_filter_popcnt(
     latch: &[u8],
     chunk_bytes: usize,
     slot_limit: usize,
     queries: &[&[u8]],
     thresholds: &[u32],
-    acc: &mut [u32],
     out: &mut Vec<FusedHit>,
 ) {
-    fused_filter_core(
-        latch,
-        chunk_bytes,
-        slot_limit,
-        queries,
-        thresholds,
-        acc,
-        out,
-    )
+    fused_filter_core(latch, chunk_bytes, slot_limit, queries, thresholds, out)
 }
 
 /// Threshold-aware fused multi-query kernel: score the first `slot_limit`
 /// `chunk_bytes`-sized chunks of `latch` (one sensed page) against every
-/// query in a single pass over the page words, and emit only the
+/// query in a single pass over the page chunks, and emit only the
 /// [`FusedHit`]s whose distance is at or below that query's threshold.
 ///
 /// This fuses [`fused_hamming_per_chunk_into`] with the pass/fail
-/// comparison: distances that fail a query's filter are never materialized
-/// outside the per-chunk accumulator, which is what the windowed adaptive
-/// scan wants — each query's threshold is fixed for the duration of one page
-/// window, so the comparison can run inside the scoring pass. `acc` is a
-/// reusable per-query accumulator and `out` a reusable hit buffer (both
-/// cleared/resized here), so steady-state scans allocate nothing.
+/// comparison: distances that fail a query's filter are never materialized,
+/// which is what the windowed adaptive scan wants — each query's threshold
+/// is fixed for the duration of one page window, so the comparison can run
+/// inside the scoring pass. `out` is a reusable hit buffer (cleared here),
+/// so steady-state scans allocate nothing.
 ///
 /// Hits are chunk-major: ascending slot, queries in input order within a
 /// slot (see [`FusedHit`]).
@@ -418,7 +470,6 @@ pub fn fused_hamming_filter_into(
     slot_limit: usize,
     queries: &[&[u8]],
     thresholds: &[u32],
-    acc: &mut Vec<u32>,
     out: &mut Vec<FusedHit>,
 ) {
     assert!(chunk_bytes > 0, "chunk size must be non-zero");
@@ -438,33 +489,13 @@ pub fn fused_hamming_filter_into(
     if queries.is_empty() {
         return;
     }
-    acc.clear();
-    acc.resize(queries.len(), 0);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("popcnt") {
         // SAFETY: feature presence checked at runtime just above.
-        unsafe {
-            fused_filter_popcnt(
-                latch,
-                chunk_bytes,
-                slot_limit,
-                queries,
-                thresholds,
-                acc,
-                out,
-            )
-        };
+        unsafe { fused_filter_popcnt(latch, chunk_bytes, slot_limit, queries, thresholds, out) };
         return;
     }
-    fused_filter_core(
-        latch,
-        chunk_bytes,
-        slot_limit,
-        queries,
-        thresholds,
-        acc,
-        out,
-    );
+    fused_filter_core(latch, chunk_bytes, slot_limit, queries, thresholds, out);
 }
 
 /// Reflected form of the Castagnoli polynomial `0x1EDC6F41`.
@@ -600,30 +631,87 @@ mod tests {
         }
     }
 
+    /// The single-query latch flow the fused kernels must reproduce: tile
+    /// the query across the page (restarting at every chunk boundary, like
+    /// a broadcast into the cache latch), XOR, count per chunk.
+    fn per_query_reference(page: &[u8], query: &[u8]) -> Vec<u32> {
+        let tiled: Vec<u8> = (0..page.len()).map(|i| query[i % query.len()]).collect();
+        reference::count_per_chunk(&reference::xor(page, &tiled), query.len())
+    }
+
+    #[test]
+    fn single_pass_kernel_matches_xor_count_then_filter() {
+        for page_len in [1usize, 7, 8, 9, 63, 64, 65, 100, 255, 256, 1000] {
+            for chunk in [1usize, 3, 7, 8, 13, 16, 32, 100, 128, 256] {
+                let page = pattern(page_len, 29, 7);
+                let image = pattern(page_len, 53, 19);
+                let counts = reference::count_per_chunk(&reference::xor(&page, &image), chunk);
+                let n_chunks = counts.len();
+                let median = {
+                    let mut sorted = counts.clone();
+                    sorted.sort_unstable();
+                    sorted[sorted.len() / 2]
+                };
+                for slot_limit in [0usize, 1, n_chunks / 2, n_chunks, n_chunks + 3] {
+                    for threshold in [0u32, median, u32::MAX] {
+                        let mut got = vec![(9, 9)];
+                        xor_count_filter_into(
+                            &page, &image, chunk, slot_limit, threshold, &mut got,
+                        );
+                        let expected: Vec<(u32, u32)> = counts
+                            .iter()
+                            .take(slot_limit)
+                            .enumerate()
+                            .filter(|&(_, &d)| d <= threshold)
+                            .map(|(slot, &d)| (slot as u32, d))
+                            .collect();
+                        assert_eq!(
+                            got, expected,
+                            "page {page_len} chunk {chunk} limit {slot_limit} threshold {threshold}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_pass_kernel_scores_against_the_whole_image() {
+        // Two slots whose image halves differ: slot 1 must be scored against
+        // the image's second slot, not a repeat of its first.
+        let page = [0x00u8, 0x00, 0xFF, 0xFF];
+        let image = [0x00u8, 0x00, 0xFF, 0x0F];
+        let mut got = Vec::new();
+        xor_count_filter_into(&page, &image, 2, 2, u32::MAX, &mut got);
+        assert_eq!(got, vec![(0, 0), (1, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "identical sizes")]
+    fn single_pass_kernel_rejects_length_mismatch() {
+        xor_count_filter_into(&[1, 2], &[1, 2, 3], 1, 2, 0, &mut Vec::new());
+    }
+
     #[test]
     fn fused_kernel_matches_per_query_xor_popcount() {
         for page_len in [24usize, 64, 65, 100, 256] {
             for chunk in [8usize, 13, 16, 32] {
-                let page = pattern(page_len, 29, 7);
-                let queries: Vec<Vec<u8>> = (0..4).map(|q| pattern(chunk, 17 + q, q)).collect();
-                let query_refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
-                let mut fused = Vec::new();
-                fused_hamming_per_chunk_into(&page, chunk, &query_refs, &mut fused);
-                let n_chunks = page_len.div_ceil(chunk);
-                assert_eq!(fused.len(), n_chunks * queries.len());
-                for (q, query) in queries.iter().enumerate() {
-                    // Tile the query across the page (restarting at every
-                    // chunk boundary, like a broadcast into the cache latch),
-                    // XOR, count per chunk — the single-query flow.
-                    let tiled: Vec<u8> = (0..page_len).map(|i| query[i % chunk]).collect();
-                    let mut xored = Vec::new();
-                    xor_bytes_into(&page, &tiled, &mut xored);
-                    let expected = reference::count_per_chunk(&xored, chunk);
-                    assert_eq!(
-                        &fused[q * n_chunks..(q + 1) * n_chunks],
-                        &expected[..],
-                        "page {page_len} chunk {chunk} query {q}"
-                    );
+                for n_queries in [0usize, 1, 2, 3, 8] {
+                    let page = pattern(page_len, 29, 7);
+                    let queries: Vec<Vec<u8>> =
+                        (0..n_queries).map(|q| pattern(chunk, 17 + q, q)).collect();
+                    let query_refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+                    let mut fused = vec![7];
+                    fused_hamming_per_chunk_into(&page, chunk, &query_refs, &mut fused);
+                    let n_chunks = page_len.div_ceil(chunk);
+                    assert_eq!(fused.len(), n_chunks * queries.len());
+                    for (q, query) in queries.iter().enumerate() {
+                        assert_eq!(
+                            &fused[q * n_chunks..(q + 1) * n_chunks],
+                            &per_query_reference(&page, query)[..],
+                            "page {page_len} chunk {chunk} queries {n_queries} query {q}"
+                        );
+                    }
                 }
             }
         }
@@ -651,46 +739,57 @@ mod tests {
     fn fused_filter_matches_count_then_filter() {
         for page_len in [24usize, 64, 65, 100, 256] {
             for chunk in [8usize, 13, 16, 32] {
-                let page = pattern(page_len, 29, 7);
-                let queries: Vec<Vec<u8>> = (0..4).map(|q| pattern(chunk, 17 + q, q)).collect();
-                let query_refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
-                // Distinct per-query thresholds straddling the typical
-                // distance range.
-                let thresholds: Vec<u32> = (0..4).map(|q| (chunk as u32) * (2 + q)).collect();
-                let n_chunks = page_len.div_ceil(chunk);
-                for slot_limit in [0usize, 1, n_chunks / 2, n_chunks, n_chunks + 3] {
-                    let mut acc = Vec::new();
-                    let mut hits = Vec::new();
-                    fused_hamming_filter_into(
-                        &page,
-                        chunk,
-                        slot_limit,
-                        &query_refs,
-                        &thresholds,
-                        &mut acc,
-                        &mut hits,
-                    );
-                    // Reference: the unfused count kernel followed by an
-                    // explicit threshold pass, reordered chunk-major.
-                    let mut counts = Vec::new();
-                    fused_hamming_per_chunk_into(&page, chunk, &query_refs, &mut counts);
-                    let mut expected = Vec::new();
-                    for slot in 0..n_chunks.min(slot_limit) {
-                        for (q, &threshold) in thresholds.iter().enumerate() {
-                            let distance = counts[q * n_chunks + slot];
-                            if distance <= threshold {
-                                expected.push(FusedHit {
-                                    query: q as u32,
-                                    slot: slot as u32,
-                                    distance,
-                                });
+                for n_queries in [0usize, 1, 2, 3, 8] {
+                    let page = pattern(page_len, 29, 7);
+                    let queries: Vec<Vec<u8>> =
+                        (0..n_queries).map(|q| pattern(chunk, 17 + q, q)).collect();
+                    let query_refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+                    // Distinct per-query thresholds straddling the typical
+                    // distance range, plus the two extremes.
+                    let thresholds: Vec<u32> = (0..n_queries)
+                        .map(|q| match q {
+                            0 => 0,
+                            1 => u32::MAX,
+                            _ => (chunk as u32) * (q as u32),
+                        })
+                        .collect();
+                    let counts: Vec<Vec<u32>> = queries
+                        .iter()
+                        .map(|query| per_query_reference(&page, query))
+                        .collect();
+                    let n_chunks = page_len.div_ceil(chunk);
+                    for slot_limit in [0usize, 1, n_chunks / 2, n_chunks, n_chunks + 3] {
+                        let mut hits = Vec::new();
+                        fused_hamming_filter_into(
+                            &page,
+                            chunk,
+                            slot_limit,
+                            &query_refs,
+                            &thresholds,
+                            &mut hits,
+                        );
+                        // Reference: the per-query latch flow followed by an
+                        // explicit threshold pass, reordered chunk-major.
+                        let mut expected = Vec::new();
+                        for slot in 0..n_chunks.min(slot_limit) {
+                            for (q, (&threshold, query_counts)) in
+                                thresholds.iter().zip(&counts).enumerate()
+                            {
+                                let distance = query_counts[slot];
+                                if distance <= threshold {
+                                    expected.push(FusedHit {
+                                        query: q as u32,
+                                        slot: slot as u32,
+                                        distance,
+                                    });
+                                }
                             }
                         }
+                        assert_eq!(
+                            hits, expected,
+                            "page {page_len} chunk {chunk} queries {n_queries} limit {slot_limit}"
+                        );
                     }
-                    assert_eq!(
-                        hits, expected,
-                        "page {page_len} chunk {chunk} limit {slot_limit}"
-                    );
                 }
             }
         }
@@ -704,9 +803,8 @@ mod tests {
         let page = [0xAAu8, 0x55, 0x0F, 0xF0];
         let q0 = [0xAAu8, 0x55];
         let q1 = [0x0Fu8, 0xF0];
-        let mut acc = Vec::new();
         let mut hits = Vec::new();
-        fused_hamming_filter_into(&page, 2, 2, &[&q0, &q1], &[0, 0], &mut acc, &mut hits);
+        fused_hamming_filter_into(&page, 2, 2, &[&q0, &q1], &[0, 0], &mut hits);
         assert_eq!(
             hits,
             vec![
@@ -728,7 +826,7 @@ mod tests {
             slot: 9,
             distance: 9,
         }];
-        fused_hamming_filter_into(&page, 2, 2, &[], &[], &mut acc, &mut stale);
+        fused_hamming_filter_into(&page, 2, 2, &[], &[], &mut stale);
         assert!(stale.is_empty());
     }
 
@@ -736,15 +834,7 @@ mod tests {
     #[should_panic(expected = "one threshold per fused query")]
     fn fused_filter_rejects_threshold_mismatch() {
         let query = [0u8; 2];
-        fused_hamming_filter_into(
-            &[1, 2],
-            2,
-            1,
-            &[&query],
-            &[],
-            &mut Vec::new(),
-            &mut Vec::new(),
-        );
+        fused_hamming_filter_into(&[1, 2], 2, 1, &[&query], &[], &mut Vec::new());
     }
 
     #[test]

@@ -638,14 +638,15 @@ impl FlashDevice {
     /// programming scheme) without copying, error injection, timing, or
     /// statistics.
     ///
-    /// This is the readout primitive of read-only scan shards
-    /// (see [`crate::sharding`]): shard workers share the device immutably,
-    /// compute distances in worker-owned latch scratch instead of the
-    /// plane's page buffer, and account their flash activity in shard-local
-    /// [`FlashStats`] that the controller absorbs
-    /// afterwards. Because no error injection happens here, callers must
-    /// only use it for schemes whose reads are error-free (ESP-SLC) if they
-    /// need bit-identical results to the latch-based read path.
+    /// This is the readout primitive of the in-place page scan: scans
+    /// (sequential or split into shards, see [`crate::sharding`]) share the
+    /// device immutably, score the borrowed bytes directly against the
+    /// plane's cache-latch image instead of copying them through the page
+    /// buffer, and account their flash activity in local [`FlashStats`] that
+    /// the controller absorbs afterwards. Because no error injection happens
+    /// here, callers must only use it for schemes whose reads are error-free
+    /// (ESP-SLC) if they need bit-identical results to the latch-based read
+    /// path.
     ///
     /// # Errors
     ///

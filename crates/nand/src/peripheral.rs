@@ -19,7 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-pub use reis_kernels::{popcount_bytes, xor_bytes_into, FusedHit};
+pub use reis_kernels::{popcount_bytes, xor_bytes_into, xor_count_filter_into, FusedHit};
 
 /// The on-die fail-bit counter, repurposed as a per-mini-page popcount
 /// engine.
@@ -71,7 +71,7 @@ impl FailBitCounter {
     }
 
     /// Fused multi-query fail-bit count: score one sensed page against every
-    /// broadcast query in a single pass over the page words, filling `out`
+    /// broadcast query in a single pass over the page chunks, filling `out`
     /// query-major (query `q`'s per-chunk counts occupy
     /// `out[q * n_chunks .. (q + 1) * n_chunks]`).
     ///
@@ -140,7 +140,7 @@ impl PassFailChecker {
     }
 
     /// Threshold-aware fused scoring: score the first `slot_limit` chunks of
-    /// one sensed page against every query (each page word loaded once, as
+    /// one sensed page against every query (each page chunk loaded once, as
     /// in [`FailBitCounter::count_fused_into`]) and emit only the
     /// [`FusedHit`]s at or below that query's own threshold.
     ///
@@ -152,17 +152,15 @@ impl PassFailChecker {
     /// changes where the work happens, not how much of it the peripheral
     /// performs.
     ///
-    /// `acc` and `out` are reusable buffers (see
+    /// `out` is a reusable hit buffer (see
     /// [`reis_kernels::fused_hamming_filter_into`] for the exact contract
     /// and panics).
-    #[allow(clippy::too_many_arguments)]
     pub fn filter_fused(
         latch: &[u8],
         chunk_bytes: usize,
         slot_limit: usize,
         queries: &[&[u8]],
         thresholds: &[u32],
-        acc: &mut Vec<u32>,
         out: &mut Vec<FusedHit>,
     ) {
         reis_kernels::fused_hamming_filter_into(
@@ -171,7 +169,6 @@ impl PassFailChecker {
             slot_limit,
             queries,
             thresholds,
-            acc,
             out,
         );
     }

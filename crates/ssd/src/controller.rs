@@ -389,13 +389,13 @@ impl SsdController {
         })
     }
 
-    /// Borrow the stored bytes of a region page for a read-only scan shard:
+    /// Borrow the stored bytes of a region page for a read-only page scan:
     /// the resolved physical address, the user data and the OOB bytes.
     ///
     /// Unlike [`SsdController::read_region_page`] this copies nothing,
-    /// stages nothing in DRAM and records no statistics — shard workers
-    /// account their own flash activity locally and the engine folds it back
-    /// with [`SsdController::absorb_activity`] after the shards join. It is
+    /// stages nothing in DRAM and records no statistics — scans (and each
+    /// of their shards) account their flash activity locally and the engine
+    /// folds it back into the device when the scan completes. It is
     /// only exact for regions whose programming scheme reads error-free
     /// (the ESP-SLC embedding regions the in-plane scan targets).
     ///
