@@ -1,27 +1,28 @@
 //! Figure 7 companion: measured (wall-clock) throughput of the functional
-//! simulator's query hot path, and its scaling with batch-search workers.
+//! simulator's query hot path, and its scaling with the batch shard budget.
 //!
 //! Unlike `fig07_retrieval_qps` (which reports the *modelled* full-scale QPS
 //! of the paper's figure), this benchmark measures how fast the simulator
 //! itself executes queries: the word-level XOR/popcount kernels versus the
 //! byte-wise reference they replaced, and end-to-end `search_batch` /
-//! `ivf_search_batch` throughput versus worker-thread count on a ≥10k-vector
+//! `ivf_search_batch` throughput versus the `workers` argument on a ≥10k-vector
 //! synthetic dataset. Results are written to `BENCH_fig07b.json` by default;
 //! pass `--output PATH` (or set `REIS_BENCH_OUT`) to write elsewhere — the
 //! committed `BENCH_pr1.json` artifact is only refreshed by an explicit
 //! `--output BENCH_pr1.json`. See `docs/BENCHMARKS.md` for the workflow and
 //! the JSON schema.
 //!
-//! The sweep pins the *replica* batch path (`BatchFusion::Replicas`, static
-//! thresholds) so the worker column keeps measuring what `BENCH_pr1.json`
-//! recorded — per-worker device replicas scaling with threads. The fused
-//! shared-device path that is now the `search_batch` default is measured by
-//! its own benchmark, `fig_fused_batch`.
+//! The sweep runs the one batch path, the page-major fused executor (with
+//! static thresholds), whose `workers` argument is the shard budget of its
+//! page walk. The committed `BENCH_pr1.json` predates fused batches: its
+//! worker column measured per-worker device replicas, so its numbers are
+//! not comparable with a fresh run. Sense amortization against sequential
+//! search is measured by `fig_fused_batch`.
 
 use std::time::Instant;
 
 use reis_bench::{report, seed_reference};
-use reis_core::{BatchFusion, ReisConfig, ReisSystem, VectorDatabase};
+use reis_core::{ReisConfig, ReisSystem, VectorDatabase};
 use reis_nand::peripheral::{FailBitCounter, XorLogic};
 use reis_workloads::{DatasetProfile, SyntheticDataset};
 
@@ -201,9 +202,7 @@ fn main() {
     );
     let database = VectorDatabase::ivf(dataset.vectors(), dataset.documents_owned(), NLIST)
         .expect("database construction");
-    let config = ReisConfig::ssd1()
-        .with_batch_fusion(BatchFusion::Replicas)
-        .with_adaptive_filtering(false);
+    let config = ReisConfig::ssd1().with_adaptive_filtering(false);
     let mut system = ReisSystem::new(config);
     let db_id = system.deploy(&database).expect("deployment");
 

@@ -1,32 +1,34 @@
 //! Fused batch execution: measured throughput and physical page senses of
-//! the page-major shared-device batch path versus the per-worker-replica
-//! baseline.
+//! the page-major batch path versus sequential per-query search.
 //!
-//! PR 4 rebuilds `ReisSystem::search_batch` on a fused multi-query scan:
-//! the batch's probed pages are sensed once each and scored against every
-//! in-flight query in a single pass over the page words, instead of every
-//! query re-sensing every page on its own device replica. This benchmark
-//! sweeps the batch size and reports, for both execution modes:
+//! `ReisSystem::search_batch` runs a fused multi-query scan: the batch's
+//! probed pages are sensed once each and scored against every in-flight
+//! query in a single pass over the page words, instead of every query
+//! re-sensing every page on its own. This benchmark sweeps the batch size
+//! and reports, for the fused batch and for the same queries issued one at
+//! a time through `ReisSystem::search` on the same system:
 //!
-//! 1. **Wall-clock batch QPS** (best of a few rounds).
+//! 1. **Wall-clock QPS** (best of a few rounds).
 //! 2. **Pages sensed per query** — the device-level `page_reads` delta of
 //!    one batch divided by the batch size. This is the amortization
-//!    headline: fused senses the union once, replicas sense per query.
+//!    headline: fused senses the union once, sequential search senses per
+//!    query.
 //! 3. **Results identity** — every fused outcome is asserted bit-identical
 //!    (results, documents, activity, modelled latency) to running the same
 //!    query alone through `ReisSystem::search`.
 //! 4. The **modelled** single-sense/multi-score scan latency
 //!    (`PerfModel::fused_scan`) against `B` independent modelled scans.
 //!
-//! Results are written to `BENCH_pr4.json` by default (this is PR 4's own
-//! committed artifact); pass `--output PATH` (or set `REIS_BENCH_OUT`) to
-//! write elsewhere. Pass `--smoke` (or set `REIS_BENCH_SMOKE=1`) for the
+//! Results are written to `BENCH_fused.json` by default (the committed
+//! `BENCH_pr4.json` predates the sequential baseline and keeps its
+//! per-worker-replica columns); pass `--output PATH` (or set
+//! `REIS_BENCH_OUT`) to write elsewhere. Pass `--smoke` (or set `REIS_BENCH_SMOKE=1`) for the
 //! fast CI configuration; the emitted JSON records which mode produced it.
 
 use std::time::Instant;
 
 use reis_bench::report;
-use reis_core::{BatchFusion, PerfModel, ReisConfig, ReisSystem, SearchOutcome, VectorDatabase};
+use reis_core::{PerfModel, ReisConfig, ReisSystem, SearchOutcome, VectorDatabase};
 use reis_workloads::{DatasetProfile, SyntheticDataset};
 
 const K: usize = 10;
@@ -71,9 +73,9 @@ impl Scale {
 struct BatchPoint {
     batch: usize,
     fused_qps: f64,
-    replica_qps: f64,
+    sequential_qps: f64,
     fused_senses_per_query: f64,
-    replica_senses_per_query: f64,
+    sequential_senses_per_query: f64,
 }
 
 impl BatchPoint {
@@ -81,41 +83,62 @@ impl BatchPoint {
         if self.fused_senses_per_query <= 0.0 {
             0.0
         } else {
-            self.replica_senses_per_query / self.fused_senses_per_query
+            self.sequential_senses_per_query / self.fused_senses_per_query
         }
     }
 }
 
-fn run_batch(
+/// How the sweep serves a set of queries.
+#[derive(Clone, Copy)]
+enum Path {
+    /// One fused `search_batch` call.
+    Fused,
+    /// One `search` call per query.
+    Sequential,
+}
+
+fn run(
     system: &mut ReisSystem,
     db_id: u32,
     queries: &[Vec<f32>],
     nprobe: Option<usize>,
+    path: Path,
 ) -> Vec<SearchOutcome> {
-    match nprobe {
-        Some(np) => system
+    match (path, nprobe) {
+        (Path::Fused, Some(np)) => system
             .ivf_search_batch_with_nprobe(db_id, queries, K, np, queries.len())
             .expect("batch search"),
-        None => system
+        (Path::Fused, None) => system
             .search_batch(db_id, queries, K, queries.len())
             .expect("batch search"),
+        (Path::Sequential, Some(np)) => queries
+            .iter()
+            .map(|q| system.ivf_search_with_nprobe(db_id, q, K, np))
+            .collect::<Result<_, _>>()
+            .expect("sequential search"),
+        (Path::Sequential, None) => queries
+            .iter()
+            .map(|q| system.search(db_id, q, K))
+            .collect::<Result<_, _>>()
+            .expect("sequential search"),
     }
 }
 
-/// Wall-clock QPS of the batch: repeat until at least `min_secs` have been
-/// measured and report the best single-round rate.
+/// Wall-clock QPS of the query set: repeat until at least `min_secs` have
+/// been measured and report the best single-round rate.
 fn measure_qps(
     system: &mut ReisSystem,
     db_id: u32,
     queries: &[Vec<f32>],
     nprobe: Option<usize>,
+    path: Path,
     min_secs: f64,
 ) -> f64 {
     let mut best = 0.0f64;
     let mut elapsed_total = 0.0;
     while elapsed_total < min_secs {
         let start = Instant::now();
-        let outcomes = run_batch(system, db_id, queries, nprobe);
+        let outcomes = run(system, db_id, queries, nprobe, path);
         let secs = start.elapsed().as_secs_f64();
         assert_eq!(outcomes.len(), queries.len());
         elapsed_total += secs;
@@ -124,15 +147,17 @@ fn measure_qps(
     best
 }
 
-/// Device-level page senses of exactly one batch, per query.
+/// Device-level page senses of exactly one pass over the query set, per
+/// query.
 fn measure_senses(
     system: &mut ReisSystem,
     db_id: u32,
     queries: &[Vec<f32>],
     nprobe: Option<usize>,
+    path: Path,
 ) -> f64 {
     let before = system.controller().device().stats().page_reads;
-    run_batch(system, db_id, queries, nprobe);
+    run(system, db_id, queries, nprobe, path);
     let delta = system.controller().device().stats().page_reads - before;
     delta as f64 / queries.len() as f64
 }
@@ -145,29 +170,18 @@ fn signature(outcome: &SearchOutcome) -> (Vec<(usize, f32)>, Vec<Vec<u8>>) {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sweep(
-    fused: &mut ReisSystem,
-    fused_id: u32,
-    replicas: &mut ReisSystem,
-    replica_id: u32,
+    system: &mut ReisSystem,
+    db_id: u32,
     queries: &[Vec<f32>],
     nprobe: Option<usize>,
     min_secs: f64,
     label: &str,
 ) -> Vec<BatchPoint> {
     // Sequential per-query references for the identity assertion.
-    let reference: Vec<_> = queries
+    let reference: Vec<_> = run(system, db_id, queries, nprobe, Path::Sequential)
         .iter()
-        .map(|q| {
-            let outcome = match nprobe {
-                Some(np) => fused
-                    .ivf_search_with_nprobe(fused_id, q, K, np)
-                    .expect("sequential reference"),
-                None => fused.search(fused_id, q, K).expect("sequential reference"),
-            };
-            (signature(&outcome), outcome.latency, outcome.activity)
-        })
+        .map(|outcome| (signature(outcome), outcome.latency, outcome.activity))
         .collect();
 
     println!("\n{label}:");
@@ -176,27 +190,29 @@ fn sweep(
         .map(|&batch| {
             let chunk = &queries[..batch.min(queries.len())];
             // Identity: every fused outcome equals its sequential reference.
-            let outcomes = run_batch(fused, fused_id, chunk, nprobe);
+            let outcomes = run(system, db_id, chunk, nprobe, Path::Fused);
             for (i, outcome) in outcomes.iter().enumerate() {
                 let (expected_sig, expected_latency, expected_activity) = &reference[i];
                 assert_eq!(&signature(outcome), expected_sig, "results, query {i}");
                 assert_eq!(&outcome.latency, expected_latency, "latency, query {i}");
                 assert_eq!(&outcome.activity, expected_activity, "activity, query {i}");
             }
-            let fused_senses = measure_senses(fused, fused_id, chunk, nprobe);
-            let replica_senses = measure_senses(replicas, replica_id, chunk, nprobe);
-            let fused_qps = measure_qps(fused, fused_id, chunk, nprobe, min_secs);
-            let replica_qps = measure_qps(replicas, replica_id, chunk, nprobe, min_secs);
+            let fused_senses = measure_senses(system, db_id, chunk, nprobe, Path::Fused);
+            let sequential_senses =
+                measure_senses(system, db_id, chunk, nprobe, Path::Sequential);
+            let fused_qps = measure_qps(system, db_id, chunk, nprobe, Path::Fused, min_secs);
+            let sequential_qps =
+                measure_qps(system, db_id, chunk, nprobe, Path::Sequential, min_secs);
             let point = BatchPoint {
                 batch,
                 fused_qps,
-                replica_qps,
+                sequential_qps,
                 fused_senses_per_query: fused_senses,
-                replica_senses_per_query: replica_senses,
+                sequential_senses_per_query: sequential_senses,
             };
             println!(
                 "    batch {batch:>2}  fused {fused_qps:>9.1} QPS / {fused_senses:>8.1} senses-per-query   \
-                 replicas {replica_qps:>9.1} QPS / {replica_senses:>8.1} senses-per-query   \
+                 sequential {sequential_qps:>9.1} QPS / {sequential_senses:>8.1} senses-per-query   \
                  sense reduction {:.2}x",
                 point.sense_reduction()
             );
@@ -210,14 +226,14 @@ fn points_json(points: &[BatchPoint]) -> String {
         .iter()
         .map(|p| {
             format!(
-                "      {{ \"batch\": {}, \"fused_qps\": {:.1}, \"replica_qps\": {:.1}, \
-                 \"fused_senses_per_query\": {:.1}, \"replica_senses_per_query\": {:.1}, \
+                "      {{ \"batch\": {}, \"fused_qps\": {:.1}, \"sequential_qps\": {:.1}, \
+                 \"fused_senses_per_query\": {:.1}, \"sequential_senses_per_query\": {:.1}, \
                  \"sense_reduction\": {:.2} }}",
                 p.batch,
                 p.fused_qps,
-                p.replica_qps,
+                p.sequential_qps,
                 p.fused_senses_per_query,
-                p.replica_senses_per_query,
+                p.sequential_senses_per_query,
                 p.sense_reduction()
             )
         })
@@ -229,7 +245,7 @@ fn main() {
     let scale = Scale::pick();
     report::header(
         "Fused batch",
-        "Page-major fused batch execution vs per-worker replicas",
+        "Page-major fused batch execution vs sequential per-query search",
     );
     println!(
         "mode {} · brute force {} entries · IVF {} entries, nlist {}",
@@ -247,17 +263,12 @@ fn main() {
     );
     let bf_database = VectorDatabase::flat(bf_dataset.vectors(), bf_dataset.documents_owned())
         .expect("flat database");
-    let mut bf_fused = ReisSystem::new(ReisConfig::ssd1());
-    let bf_fused_id = bf_fused.deploy(&bf_database).expect("deploy");
-    let mut bf_replicas =
-        ReisSystem::new(ReisConfig::ssd1().with_batch_fusion(BatchFusion::Replicas));
-    let bf_replica_id = bf_replicas.deploy(&bf_database).expect("deploy");
+    let mut bf_system = ReisSystem::new(ReisConfig::ssd1());
+    let bf_id = bf_system.deploy(&bf_database).expect("deploy");
     let bf_queries: Vec<Vec<f32>> = bf_dataset.queries().to_vec();
     let bf_points = sweep(
-        &mut bf_fused,
-        bf_fused_id,
-        &mut bf_replicas,
-        bf_replica_id,
+        &mut bf_system,
+        bf_id,
         &bf_queries,
         None,
         scale.min_measure_secs,
@@ -282,17 +293,12 @@ fn main() {
         scale.nlist,
     )
     .expect("ivf database");
-    let mut ivf_fused = ReisSystem::new(ReisConfig::ssd1());
-    let ivf_fused_id = ivf_fused.deploy(&ivf_database).expect("deploy");
-    let mut ivf_replicas =
-        ReisSystem::new(ReisConfig::ssd1().with_batch_fusion(BatchFusion::Replicas));
-    let ivf_replica_id = ivf_replicas.deploy(&ivf_database).expect("deploy");
+    let mut ivf_system = ReisSystem::new(ReisConfig::ssd1());
+    let ivf_id = ivf_system.deploy(&ivf_database).expect("deploy");
     let ivf_queries: Vec<Vec<f32>> = ivf_dataset.queries().to_vec();
     let ivf_points = sweep(
-        &mut ivf_fused,
-        ivf_fused_id,
-        &mut ivf_replicas,
-        ivf_replica_id,
+        &mut ivf_system,
+        ivf_id,
         &ivf_queries,
         Some(NPROBE),
         scale.min_measure_secs,
@@ -302,7 +308,7 @@ fn main() {
     // ---- The modelled view of the same asymmetry: one fused pass over the
     // brute-force region scoring B queries versus B independent scans.
     let model = PerfModel::new(ReisConfig::ssd1());
-    let layout = bf_fused.database(bf_fused_id).expect("db").layout;
+    let layout = bf_system.database(bf_id).expect("db").layout;
     let pages = layout.embedding_pages;
     let entries_per_scan = layout.entries / 50; // a representative pass rate
     let batch8 = BATCH_SIZES[BATCH_SIZES.len() - 1];
@@ -326,10 +332,10 @@ fn main() {
 
     let bf_at_8 = bf_points.last().expect("batch-8 point");
     println!(
-        "\nBrute-force batch 8: {:.2}x fewer senses per query, QPS {:.1} (fused) vs {:.1} (replicas)",
+        "\nBrute-force batch 8: {:.2}x fewer senses per query, QPS {:.1} (fused) vs {:.1} (sequential)",
         bf_at_8.sense_reduction(),
         bf_at_8.fused_qps,
-        bf_at_8.replica_qps
+        bf_at_8.sequential_qps
     );
     if scale.mode == "full" {
         assert!(
@@ -357,7 +363,7 @@ fn main() {
         bf = points_json(&bf_points),
         ivf = points_json(&ivf_points),
     );
-    let path = report::output_path("BENCH_pr4.json");
+    let path = report::output_path("BENCH_fused.json");
     std::fs::write(&path, json).expect("write benchmark json");
     println!("\nwrote {path}");
 }

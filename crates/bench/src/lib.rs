@@ -680,6 +680,16 @@ pub mod artifacts {
             ("available_cores", Kind::Num),
             ("mode", Kind::Str),
             ("dataset", Kind::Obj),
+            ("batch_formation_wins", Kind::Bool),
+            ("pipeline_sweep", Kind::Arr),
+        ];
+        // The committed scheduler artifact also carries the pooled vs
+        // spawn-per-window sweep, recorded while a spawn-per-shard executor
+        // still existed; fresh runs no longer produce it.
+        const SCHEDULER_COMMITTED: &[(&str, Kind)] = &[
+            ("available_cores", Kind::Num),
+            ("mode", Kind::Str),
+            ("dataset", Kind::Obj),
             ("results_identical_to_spawn", Kind::Bool),
             ("batch_formation_wins", Kind::Bool),
             ("pool_window_sweep", Kind::Arr),
@@ -696,7 +706,7 @@ pub mod artifacts {
             "BENCH_pr7.json" => Some(SCALEOUT),
             "BENCH_pr8.json" => Some(TELEMETRY),
             "BENCH_pr9.json" => Some(FAULT),
-            "BENCH_pr10.json" => Some(SCHEDULER),
+            "BENCH_pr10.json" => Some(SCHEDULER_COMMITTED),
             _ if base.contains("fig07b") => Some(BATCH),
             _ if base.contains("scheduler") => Some(SCHEDULER),
             _ if base.contains("intra_query") => Some(INTRA),
@@ -777,11 +787,12 @@ pub mod artifacts {
                 problems.push("partition_invariant must be true".into());
             }
         }
-        // Scheduler family: pooled execution must be bit-identical to the
-        // spawn-per-window executor, batch formation must win the sweep's
-        // top offered load, and every row carries its columns. The
-        // pooled-vs-spawn wall-clock comparison gates only `mode: "full"`
-        // artifacts (smoke runs on shared CI runners are too noisy).
+        // Scheduler family: batch formation must win the sweep's top offered
+        // load and every row carries its columns. An artifact with the
+        // historical pooled-vs-spawn sweep must also record pooled execution
+        // bit-identical to the spawn-per-window executor; that wall-clock
+        // comparison gates only `mode: "full"` artifacts (smoke runs on
+        // shared CI runners are too noisy).
         if let Some(Json::Arr(points)) = doc.get("pool_window_sweep") {
             if doc.get("results_identical_to_spawn") != Some(&Json::Bool(true)) {
                 problems.push("results_identical_to_spawn must be true".into());
@@ -1114,6 +1125,11 @@ mod artifact_tests {
         );
         assert_eq!(
             required_keys("BENCH_scheduler_smoke.json"),
+            required_keys("BENCH_scheduler.json")
+        );
+        // The committed scheduler artifact keeps its historical schema.
+        assert_ne!(
+            required_keys("BENCH_scheduler_smoke.json"),
             required_keys("BENCH_pr10.json")
         );
         assert!(required_keys("mystery.json").is_none());
@@ -1220,6 +1236,30 @@ mod artifact_tests {
             smoke_problems.is_empty(),
             "smoke artifact must pass: {smoke_problems:?}"
         );
+        // A fresh run has no pooled-vs-spawn sweep and passes without it...
+        let fresh = r#"{ "available_cores": 1, "mode": "smoke",
+                 "dataset": { "entries": 4096, "dim": 768 },
+                 "batch_formation_wins": true,
+                 "pipeline_sweep": [ { "offered_qps": 1000.0, "max_batch": 8,
+                                       "requests": 10, "completed": 10, "shed": 0,
+                                       "p50_us": 1.0, "p99_us": 2.0,
+                                       "throughput_qps": 900.0 } ] }"#;
+        let fresh = parse(fresh).unwrap();
+        let fresh_problems = validate("BENCH_scheduler_smoke.json", &fresh);
+        assert!(
+            fresh_problems.is_empty(),
+            "sweep-less smoke artifact must pass: {fresh_problems:?}"
+        );
+        // ...but the committed artifact must still carry it.
+        let committed_problems = validate("BENCH_pr10.json", &fresh);
+        for key in ["results_identical_to_spawn", "pool_window_sweep"] {
+            assert!(
+                committed_problems
+                    .iter()
+                    .any(|p| p.contains(&format!("missing required key '{key}'"))),
+                "BENCH_pr10.json without '{key}' must fail: {committed_problems:?}"
+            );
+        }
     }
 
     #[test]

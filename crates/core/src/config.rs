@@ -196,38 +196,6 @@ pub enum AdaptiveFiltering {
     All,
 }
 
-/// How a batched search executes on the simulated device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchFusion {
-    /// Page-major fused execution on the *shared* device (the default):
-    /// the batch's probed pages are sensed once each and scored against
-    /// every in-flight query by the fused multi-query kernel. Per-query
-    /// results, activity and modelled latency are bit-identical to running
-    /// the queries sequentially; only the physical sense count (and the
-    /// wall clock) shrinks.
-    Fused,
-    /// Per-worker device replicas (the pre-fusion path): every worker clones
-    /// the controller copy-on-write and executes its chunk of queries
-    /// independently, so every query re-senses every page it scans.
-    Replicas,
-}
-
-/// How shard/replica workers are executed on the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScanExecutor {
-    /// The persistent work-stealing worker pool (`reis-sched`), created
-    /// once at system construction (the default). No query or mutation
-    /// path creates threads afterwards; scan windows, fused page chunks
-    /// and replica batches are queued onto the long-lived workers, which
-    /// keep per-worker scratch warm between requests.
-    Pooled,
-    /// A scoped `std::thread` spawn per window/chunk/batch — the pre-pool
-    /// executor. Kept selectable so the identity property suite can prove
-    /// pooled execution bit-identical to it, and so `fig_scheduler` can
-    /// measure the per-window spawn overhead the pool removes.
-    SpawnScoped,
-}
-
 /// Complete configuration of a REIS system instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ReisConfig {
@@ -276,13 +244,6 @@ pub struct ReisConfig {
     /// entry counts* are identical either way — that is the windowed
     /// schedule's partition invariance.
     pub adaptive_window_pages: usize,
-    /// How batched searches execute (see [`BatchFusion`]); defaults to the
-    /// page-major fused path on the shared device.
-    pub batch_fusion: BatchFusion,
-    /// How shard/replica workers run on the host (see [`ScanExecutor`]);
-    /// defaults to the persistent worker pool. Scheduling never changes
-    /// results or logical accounting — only wall-clock cost.
-    pub scan_executor: ScanExecutor,
     /// When the update path compacts automatically (append segments folded
     /// back into dense regions). [`CompactionPolicy::manual`] disables
     /// auto-compaction entirely.
@@ -302,8 +263,6 @@ impl ReisConfig {
             scan_parallelism: ScanParallelism::sequential(),
             adaptive_filtering: AdaptiveFiltering::BruteForce,
             adaptive_window_pages: 4,
-            batch_fusion: BatchFusion::Fused,
-            scan_executor: ScanExecutor::Pooled,
             compaction: CompactionPolicy::auto(),
         }
     }
@@ -379,19 +338,6 @@ impl ReisConfig {
     /// [`ReisConfig::adaptive_window_pages`]).
     pub fn with_adaptive_window(mut self, pages: usize) -> Self {
         self.adaptive_window_pages = pages.max(1);
-        self
-    }
-
-    /// Builder-style override of the batched-search execution mode.
-    pub fn with_batch_fusion(mut self, fusion: BatchFusion) -> Self {
-        self.batch_fusion = fusion;
-        self
-    }
-
-    /// Builder-style override of the host-side executor (see
-    /// [`ScanExecutor`]).
-    pub fn with_scan_executor(mut self, executor: ScanExecutor) -> Self {
-        self.scan_executor = executor;
         self
     }
 
@@ -485,7 +431,6 @@ mod tests {
     fn adaptive_scope_and_fusion_defaults() {
         let config = ReisConfig::ssd1();
         assert_eq!(config.adaptive_filtering, AdaptiveFiltering::BruteForce);
-        assert_eq!(config.batch_fusion, BatchFusion::Fused);
         assert!(config.adapts(true));
         assert!(!config.adapts(false));
         assert!(config.with_adaptive_filtering(true).adapts(false));
@@ -494,10 +439,6 @@ mod tests {
         assert!(!config
             .with_optimizations(Optimizations::none())
             .adapts(true));
-        assert_eq!(
-            config.with_batch_fusion(BatchFusion::Replicas).batch_fusion,
-            BatchFusion::Replicas
-        );
         assert_eq!(
             config
                 .with_adaptive_scope(AdaptiveFiltering::Off)

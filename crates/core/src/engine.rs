@@ -39,10 +39,11 @@
 //! The scan path parallelizes at two granularities, mirroring how REIS
 //! exploits the device:
 //!
-//! * **Across queries** — workers of a batched search each own one engine
-//!   (and therefore one scratch) on a device replica, so queries
-//!   parallelize without sharing any mutable state
-//!   (`ReisSystem::search_batch`).
+//! * **Across queries** — a batched search over error-free embedding
+//!   reads runs page-major in the fused executor (`crate::fused`): each
+//!   probed page is read once and scored against every query that covers
+//!   it. Error-prone reads run the batch's queries one after another
+//!   through this engine (`ReisSystem::search_batch`).
 //! * **Within one query** — when
 //!   [`ScanParallelism`](crate::config::ScanParallelism) enables it, the
 //!   fine scan's merged page ranges are split into per-channel/per-die
@@ -50,8 +51,8 @@
 //!   runs the sequential scan's own per-page body on a scratch of its own,
 //!   sharing the controller immutably, and the candidate lists merge into
 //!   one Temporal Top List whose total-order quickselect makes the sharded
-//!   result bit-identical to the sequential scan. Both levels compose:
-//!   each batch worker drives its own intra-query shards.
+//!   result bit-identical to the sequential scan. Both levels compose: the
+//!   fused executor shards its page walk the same way.
 //!
 //! Adaptive distance filtering composes with both levels through the
 //! *windowed* threshold schedule: an adapting scan consumes its
@@ -70,7 +71,7 @@ use reis_sched::WorkerPool;
 use reis_ssd::{RegionKind, SsdController, StripedRegion};
 use reis_update::OOB_INVALID_RADR;
 
-use crate::config::{ReisConfig, ScanExecutor};
+use crate::config::ReisConfig;
 use crate::deploy::DeployedDatabase;
 use crate::error::{ReisError, Result};
 use crate::leaf::LeafCandidate;
@@ -725,8 +726,7 @@ impl<'a> InStorageEngine<'a> {
     }
 
     /// Scan the planned shards of one query concurrently — one task per
-    /// non-empty shard on the persistent worker pool (or one scoped
-    /// `std::thread` under [`ScanExecutor::SpawnScoped`]) — each running
+    /// non-empty shard on the persistent worker pool — each running
     /// [`scan_borrowed_pages`] on its own shard scratch, and merge the
     /// shard-local results: counts and flash activity are summed in shard
     /// order (a failing shard's work included, its error returned as the
@@ -757,98 +757,56 @@ impl<'a> InStorageEngine<'a> {
             shard_pool.push(ScanScratch::new());
         }
 
+        // One queued task per non-empty shard on the persistent pool; the
+        // merge below walks the output slots in shard order, so results and
+        // accounting cannot depend on which worker ran which shard.
         let ssd: &SsdController = self.ssd;
-        let shard_outputs: Vec<(ScanCounts, FlashStats, Option<ReisError>)> =
-            match self.config.scan_executor {
-                // The persistent pool: one queued task per non-empty shard, no
-                // thread creation. The task bodies are byte-for-byte the spawn
-                // path's; only the execution vehicle differs, and the merge
-                // below walks slots in shard order either way, so results and
-                // accounting cannot depend on the executor.
-                ScanExecutor::Pooled => {
-                    let jobs: Vec<_> = plan
-                        .shards()
-                        .iter()
-                        .zip(shard_pool.iter_mut())
-                        .filter(|(shard, _)| !shard.is_empty())
-                        .collect();
-                    let mut outputs: Vec<Option<(ScanCounts, FlashStats, Option<ReisError>)>> =
-                        (0..jobs.len()).map(|_| None).collect();
-                    let scope_result = self.pool.scope(|scope| {
-                        for ((shard, shard_scratch), output) in
-                            jobs.into_iter().zip(outputs.iter_mut())
-                        {
-                            scope.spawn(move |_ctx| {
-                                *output = Some(scan_borrowed_pages(
-                                    ssd,
-                                    region,
-                                    shard.ranges(),
-                                    page_base,
-                                    slot_bytes,
-                                    threshold,
-                                    oob_layout,
-                                    entry_bytes,
-                                    shard_scratch,
-                                    make_entry,
-                                ));
-                            });
-                        }
-                    });
-                    if let Err(panic) = scope_result {
-                        // A panicking shard leaves partial candidates in the
-                        // shard scratches; drop them so the next scan over this
-                        // scratch pool cannot absorb stale entries.
-                        for shard_scratch in shard_pool.iter_mut() {
-                            shard_scratch.ttl.clear();
-                        }
-                        return Err(ReisError::WorkerPanic(panic.message));
-                    }
-                    outputs
-                        .into_iter()
-                        .map(|output| output.expect("scope waits for every shard task"))
-                        .collect()
-                }
-                // The pre-pool executor, kept for the identity baseline and the
-                // `fig_scheduler` overhead comparison: scoped threads spawned
-                // and joined for every call.
-                ScanExecutor::SpawnScoped => std::thread::scope(|scope| {
-                    let handles: Vec<_> = plan
-                        .shards()
-                        .iter()
-                        .zip(shard_pool.iter_mut())
-                        .filter(|(shard, _)| !shard.is_empty())
-                        .map(|(shard, shard_scratch)| {
-                            scope.spawn(move || {
-                                scan_borrowed_pages(
-                                    ssd,
-                                    region,
-                                    shard.ranges(),
-                                    page_base,
-                                    slot_bytes,
-                                    threshold,
-                                    oob_layout,
-                                    entry_bytes,
-                                    shard_scratch,
-                                    make_entry,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("scan shard worker panicked"))
-                        .collect()
-                }),
-            };
+        let jobs: Vec<_> = plan
+            .shards()
+            .iter()
+            .zip(shard_pool.iter_mut())
+            .filter(|(shard, _)| !shard.is_empty())
+            .collect();
+        let mut shard_outputs: Vec<Option<(ScanCounts, FlashStats, Option<ReisError>)>> =
+            (0..jobs.len()).map(|_| None).collect();
+        let scope_result = self.pool.scope(|scope| {
+            for ((shard, shard_scratch), output) in jobs.into_iter().zip(shard_outputs.iter_mut()) {
+                scope.spawn(move |_ctx| {
+                    *output = Some(scan_borrowed_pages(
+                        ssd,
+                        region,
+                        shard.ranges(),
+                        page_base,
+                        slot_bytes,
+                        threshold,
+                        oob_layout,
+                        entry_bytes,
+                        shard_scratch,
+                        make_entry,
+                    ));
+                });
+            }
+        });
+        if let Err(panic) = scope_result {
+            // A panicking shard leaves partial candidates in the shard
+            // scratches; drop them so the next scan over this scratch pool
+            // cannot absorb stale entries.
+            for shard_scratch in shard_pool.iter_mut() {
+                shard_scratch.ttl.clear();
+            }
+            return Err(ReisError::WorkerPanic(panic.message));
+        }
 
         // Every shard — including a failing one — performed real flash
         // work, so the caller absorbs the merged stats before any error is
-        // surfaced, mirroring the batch path's merge-then-fail policy and
-        // the latch path's count-as-you-go device statistics.
+        // surfaced, mirroring the latch path's count-as-you-go device
+        // statistics.
         let mut counts = ScanCounts::default();
         let mut flash = FlashStats::new();
         let mut first_error = None;
-        for (shard_counts, shard_flash, shard_error) in shard_outputs {
+        for output in shard_outputs {
+            let (shard_counts, shard_flash, shard_error) =
+                output.expect("scope waits for every shard task");
             counts.absorb(shard_counts);
             flash.accumulate(&shard_flash);
             if first_error.is_none() {

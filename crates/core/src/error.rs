@@ -80,8 +80,8 @@ pub enum ReisError {
         /// The lane's configured depth bound that was hit.
         depth: usize,
     },
-    /// A pooled worker task panicked while executing a shard, chunk or
-    /// replica batch. The panic is isolated by the scheduler — the pool
+    /// A pooled worker task panicked while executing a shard or fused
+    /// chunk. The panic is isolated by the scheduler — the pool
     /// and unrelated queries keep working — and surfaced to the submitting
     /// request as this error, carrying the rendered panic payload.
     WorkerPanic(String),

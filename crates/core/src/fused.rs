@@ -1,18 +1,23 @@
-//! Page-major fused execution of batched searches (the shared-device batch
-//! path).
+//! Page-major fused execution of batched searches.
 //!
-//! The replica batch path parallelizes *across* queries: every worker clones
-//! the simulated device and each query re-senses every page it scans, so the
-//! physical sense count grows linearly with the batch. This module inverts
-//! the loop, the way REIS amortizes flash sensing across in-flight queries:
-//! the batch's probed pages are computed up front, each distinct page is
-//! sensed **once** through the borrowed
-//! [`SsdController::scan_region_page`] path, and the threshold-aware fused
-//! multi-query kernel ([`PassFailChecker::filter_fused`]) scores the sensed
-//! page against every query whose selection covers it in a single pass over
-//! the page. Each query accumulates candidates in its own Temporal Top
-//! List, and the downstream phases (quickselect, INT8 rerank, document
-//! fetch) run per query on the shared controller.
+//! Running a batch's queries one after another re-senses every page for
+//! every query that scans it, so the physical sense count grows linearly
+//! with the batch. This module inverts the loop, the way REIS amortizes
+//! flash sensing across in-flight queries: the batch's probed pages are
+//! computed up front, each distinct page is sensed **once** through the
+//! borrowed [`SsdController::scan_region_page`] path, and the
+//! threshold-aware fused multi-query kernel
+//! ([`PassFailChecker::filter_fused`]) scores the sensed page against every
+//! query whose selection covers it in a single pass over the page. Each
+//! query accumulates candidates in its own Temporal Top List, and the
+//! downstream phases (quickselect, INT8 rerank, document fetch) run per
+//! query on the shared controller.
+//!
+//! The executor needs error-free embedding reads, because it scores stored
+//! page bytes that no injected bit error can reach.
+//! [`ReisSystem::search_batch`](crate::system::ReisSystem::search_batch)
+//! runs it only then, with the batch's `workers` argument as the shard
+//! budget, and otherwise serves the batch as sequential searches.
 //!
 //! # Bit-identity
 //!
@@ -49,21 +54,21 @@
 //! The fused scan performs no device mutation while scanning; after the scan
 //! the *physical* flash activity — each page sensed once, the in-plane
 //! XOR/count/check per `(page, query)` pair, the aggregate TTL traffic — is
-//! folded into the primary controller via
-//! [`ControllerActivity::flash_only`], mirroring how intra-query scan shards
-//! account their work.
+//! folded into the device counters with
+//! [`FlashDevice::absorb_stats`](reis_nand::FlashDevice::absorb_stats),
+//! the same way intra-query scan shards account their work.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use reis_nand::peripheral::PassFailChecker;
 use reis_nand::{FlashStats, FusedHit, OobEntry, OobLayout, ScanShardPlan};
-use reis_ssd::{ControllerActivity, SsdController, StripedRegion};
+use reis_ssd::{SsdController, StripedRegion};
 use reis_telemetry::Telemetry;
 
 use reis_sched::WorkerPool;
 
-use crate::config::{ReisConfig, ScanExecutor, ScanParallelism};
+use crate::config::{ReisConfig, ScanParallelism};
 use crate::deploy::DeployedDatabase;
 use crate::energy::EnergyModel;
 use crate::engine::{self, InStorageEngine, ScanCounts, ScanScratch};
@@ -364,8 +369,8 @@ pub(crate) fn execute_batch_fused(
 
     // The whole scan (coarse, planning, fused base, segments) runs inside
     // one fallible block so that the physical activity it accumulated is
-    // folded into the primary device even when a phase fails midway — the
-    // merge-then-fail policy the replica and shard paths follow.
+    // folded into the device counters even when a phase fails midway — the
+    // merge-then-fail policy the shard paths follow.
     let scan_error = (|| -> Result<()> {
         // ---- Coarse phase (IVF): the centroid pages are common to every
         // query, so each is sensed once and scored against the whole batch.
@@ -488,7 +493,6 @@ pub(crate) fn execute_batch_fused(
                 let shard_count = parallelism.effective_shards(scan_units, union_pages);
                 if shard_count > 1 {
                     fused_scan_sharded(
-                        config.scan_executor,
                         pool,
                         controller,
                         region,
@@ -564,7 +568,6 @@ pub(crate) fn execute_batch_fused(
                     let shard_count = parallelism.effective_shards(scan_units, chunk_pages);
                     if shard_count > 1 {
                         fused_scan_sharded(
-                            config.scan_executor,
                             pool,
                             controller,
                             region,
@@ -736,7 +739,7 @@ pub(crate) fn execute_batch_fused(
     })()
     .err();
 
-    // ---- Fold the physical scan activity into the primary device — each
+    // ---- Fold the physical scan activity into the device counters — each
     // page sensed once, the in-plane compute and TTL traffic per
     // (page, query), plus every query's broadcast — *before* surfacing any
     // scan error or running a downstream phase that could fail: even a
@@ -759,7 +762,7 @@ pub(crate) fn execute_batch_fused(
     for _ in 0..states.len() {
         physical.accumulate(&broadcast);
     }
-    controller.absorb_activity(&ControllerActivity::flash_only(physical));
+    controller.device_mut().absorb_stats(&physical);
     if let Some(error) = scan_error {
         return Err(error);
     }
@@ -858,7 +861,6 @@ pub(crate) fn execute_batch_fused(
 /// merge-then-fail accounting sees the work every shard performed.
 #[allow(clippy::too_many_arguments)]
 fn fused_scan_sharded(
-    executor: ScanExecutor,
     pool: &WorkerPool,
     controller: &SsdController,
     region: &StripedRegion,
@@ -910,49 +912,29 @@ fn fused_scan_sharded(
         (local, senses, error)
     };
     let run_shard = &run_shard;
-    let shard_outputs: Vec<ShardOutput> = match executor {
-        // Pool tasks write into per-shard slots; the merge below walks the
-        // slots in shard order, same as the joined-handle order of the
-        // spawn path, so the executor cannot change the merged state.
-        ScanExecutor::Pooled => {
-            let shards: Vec<_> = plan
-                .shards()
-                .iter()
-                .filter(|shard| !shard.is_empty())
-                .collect();
-            let mut outputs: Vec<Option<ShardOutput>> = (0..shards.len()).map(|_| None).collect();
-            pool.scope(|scope| {
-                for (shard, output) in shards.into_iter().zip(outputs.iter_mut()) {
-                    scope.spawn(move |_ctx| {
-                        *output = Some(run_shard(shard));
-                    });
-                }
-            })
-            .map_err(|panic| ReisError::WorkerPanic(panic.message))?;
-            outputs
-                .into_iter()
-                .map(|output| output.expect("scope waits for every shard task"))
-                .collect()
+    // Pool tasks write into per-shard slots and the merge below walks the
+    // slots in shard order, so scheduling cannot change the merged state.
+    let shards: Vec<_> = plan
+        .shards()
+        .iter()
+        .filter(|shard| !shard.is_empty())
+        .collect();
+    let mut shard_outputs: Vec<Option<ShardOutput>> = (0..shards.len()).map(|_| None).collect();
+    pool.scope(|scope| {
+        for (shard, output) in shards.into_iter().zip(shard_outputs.iter_mut()) {
+            scope.spawn(move |_ctx| {
+                *output = Some(run_shard(shard));
+            });
         }
-        ScanExecutor::SpawnScoped => std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .shards()
-                .iter()
-                .filter(|shard| !shard.is_empty())
-                .map(|shard| scope.spawn(move || run_shard(shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("fused scan shard worker panicked"))
-                .collect()
-        }),
-    };
+    })
+    .map_err(|panic| ReisError::WorkerPanic(panic.message))?;
 
     // Merge shard-local states per query (selection is order-free under the
     // total-order quickselect) and the physical sense counts; the work a
     // failing shard performed is still merged before the error surfaces.
     let mut first_error = None;
-    for (mut local, shard_senses, error) in shard_outputs {
+    for output in shard_outputs {
+        let (mut local, shard_senses, error) = output.expect("scope waits for every shard task");
         *physical_senses += shard_senses;
         for (state, shard_state) in states.iter_mut().zip(local.iter_mut()) {
             state.fine.absorb(shard_state.fine);

@@ -19,11 +19,13 @@
 //! * [`perf`] — the latency model (plane/die/channel parallelism,
 //!   pipelining, MPIBC).
 //! * [`energy`] — the per-operation energy model.
-//! * [`system`] — [`system::ReisSystem`], the host-facing API of Table 1,
-//!   whose batched searches default to page-major *fused* execution on the
-//!   shared device: each probed page is sensed once and scored against
-//!   every in-flight query (see [`config::BatchFusion`]), bit-identical
-//!   per query to sequential search.
+//! * [`system`] — [`system::ReisSystem`], the host-facing API of Table 1.
+//!   Its batched searches run page-major *fused* execution on the shared
+//!   device when embedding reads are error-free: each probed page is read
+//!   once and scored against every in-flight query, bit-identical per
+//!   query to sequential search. Error-prone reads run the batch as
+//!   sequential searches. A batch's `workers` argument is the fused scan's
+//!   shard budget and has no effect on error-prone reads.
 //! * [`config`] — REIS-SSD1 / REIS-SSD2 configurations and the optimization
 //!   toggles of the Fig. 9 sensitivity study.
 //!
@@ -67,9 +69,7 @@ pub mod pipeline;
 pub mod records;
 pub mod system;
 
-pub use config::{
-    AdaptiveFiltering, BatchFusion, Optimizations, ReisConfig, ScanExecutor, ScanParallelism,
-};
+pub use config::{AdaptiveFiltering, Optimizations, ReisConfig, ScanParallelism};
 pub use database::{ClusterInfo, VectorDatabase};
 pub use deploy::DeployedDatabase;
 pub use durable::{RecoveryReport, WalQuarantine};
@@ -83,7 +83,7 @@ pub use pipeline::{
     LanePriority, Pipeline, PipelineCompletion, PipelineConfig, PipelineReply, PipelineRequest,
 };
 pub use records::{RIvf, RIvfEntry, TemporalTopList, TtlEntry};
-pub use reis_sched::{WorkerContext, WorkerLocal, WorkerPool};
+pub use reis_sched::{WorkerContext, WorkerPool};
 
 pub use reis_persist::{
     DirVfs, DurableStore, FaultHandle, FaultVfs, MemVfs, PersistError, ScrubReport, Vfs, WalRecord,

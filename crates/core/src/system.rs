@@ -5,9 +5,9 @@
 //! (`DB_Deploy` / `IVF_Deploy`) and serves `Search` / `IVF_Search` requests,
 //! returning both the retrieved documents and the modelled latency and
 //! energy of each query. Batched variants ([`ReisSystem::search_batch`],
-//! [`ReisSystem::ivf_search_batch`]) execute independent queries in parallel
-//! on per-worker replicas of the simulated device, each worker reusing its
-//! own engine scratch.
+//! [`ReisSystem::ivf_search_batch`]) serve a batch of independent queries
+//! with one page-major fused scan, each probed page read once for the whole
+//! batch, and fall back to sequential searches for error-prone reads.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -17,14 +17,14 @@ use serde::{Deserialize, Serialize};
 use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
 use reis_persist::WalRecord;
-use reis_ssd::{ControllerActivity, SsdController, SsdMode};
+use reis_ssd::{SsdController, SsdMode};
 use reis_telemetry::{
     CounterId, ExplainEvent, ExplainTrace, GaugeId, HistogramId, QueryTrace, Span, Telemetry,
 };
 
-use reis_sched::{WorkerLocal, WorkerPool};
+use reis_sched::WorkerPool;
 
-use crate::config::{BatchFusion, ReisConfig, ScanExecutor, ScanParallelism};
+use crate::config::{ReisConfig, ScanParallelism};
 use crate::database::VectorDatabase;
 use crate::deploy::{self, DeployedDatabase};
 use crate::durable::Durability;
@@ -113,18 +113,11 @@ pub struct ReisSystem {
     /// results and all logical accounting are bit-identical with telemetry
     /// on and off (the CI determinism gate enforces this).
     pub(crate) telemetry: Telemetry,
-    /// The persistent worker pool every shard scan, fused chunk and
-    /// replica batch executes on (under the default
-    /// [`ScanExecutor::Pooled`](crate::config::ScanExecutor)). Created
-    /// once here; no query or mutation path spawns threads afterwards.
-    /// Sized by `REIS_SCHED_WORKERS`, else by `auto_shards`.
+    /// The persistent worker pool every shard scan and fused chunk
+    /// executes on. Created once here; no query or mutation path spawns
+    /// threads afterwards. Sized by `REIS_SCHED_WORKERS`, else by
+    /// `auto_shards`.
     pub(crate) sched: WorkerPool,
-    /// Per-worker scan scratch for replica batch workers: the pool keeps
-    /// each worker's buffers warm across batches instead of allocating a
-    /// fresh scratch per worker per batch. Scratch reuse never affects
-    /// results (buffers are cleared or overwritten per scan), so affinity
-    /// is purely an allocation-count optimization.
-    pub(crate) worker_scratch: WorkerLocal<ScanScratch>,
 }
 
 impl ReisSystem {
@@ -149,7 +142,6 @@ impl ReisSystem {
                     .unwrap_or(1)
             });
         let sched = WorkerPool::from_env(auto_shards);
-        let worker_scratch = WorkerLocal::new(&sched, |_| ScanScratch::new());
         ReisSystem {
             config,
             controller,
@@ -162,14 +154,13 @@ impl ReisSystem {
             durability: None,
             telemetry: Telemetry::from_env(),
             sched,
-            worker_scratch,
         }
     }
 
-    /// The persistent worker pool this system executes shard scans, fused
-    /// chunks and replica batches on. Exposed so tests and benches can
-    /// observe its size (set via `REIS_SCHED_WORKERS`, defaulting to the
-    /// captured host parallelism) or drive it directly.
+    /// The persistent worker pool this system executes shard scans and
+    /// fused chunks on. Exposed so tests and benches can observe its size
+    /// (set via `REIS_SCHED_WORKERS`, defaulting to the captured host
+    /// parallelism) or drive it directly.
     pub fn scheduler(&self) -> &WorkerPool {
         &self.sched
     }
@@ -761,29 +752,26 @@ impl ReisSystem {
 
     /// `Search` over a whole batch of independent queries.
     ///
-    /// By default ([`BatchFusion::Fused`]) the batch executes page-major on
-    /// the *shared* device: the union of the batch's probed pages is
-    /// computed up front, each distinct page is sensed once, and the fused
-    /// multi-query kernel scores it against every query whose selection
-    /// covers it — the same sense-amortization REIS applies to in-flight
-    /// query batches. The fused pass additionally shards across up to
-    /// `workers` (capped at the host's parallelism) channel/die workers —
-    /// adaptive scans included, chunked at their window barriers — and
-    /// per-query results, documents, activity and
-    /// modelled latency/energy are bit-identical to running
-    /// [`ReisSystem::search`] sequentially; only the device-level sense
-    /// count (and the wall clock) shrinks. The physical scan activity is
-    /// folded into the primary controller with each page counted as sensed
-    /// once.
+    /// When the embedding regions read error-free (the ESP-SLC default) the
+    /// batch executes page-major on the shared device: the union of the
+    /// batch's probed pages is computed up front, each distinct page is
+    /// read once, and the fused multi-query kernel scores it against every
+    /// query whose selection covers it — the same sense amortization REIS
+    /// applies to in-flight query batches. The fused pass shards across up
+    /// to `workers` (capped at the host's parallelism) channel/die workers
+    /// — adaptive scans included, chunked at their window barriers. Per-query
+    /// results, documents, activity and modelled latency/energy are
+    /// bit-identical to running [`ReisSystem::search`] sequentially; only the
+    /// device-level sense count (and the wall clock) shrinks. The physical
+    /// scan activity is folded into the device counters with each page
+    /// counted as read once.
     ///
-    /// With [`BatchFusion::Replicas`] (or when the embedding regions are
-    /// not error-free to read) the pre-fusion path runs instead: up to
-    /// `workers` threads each own a copy-on-write replica of the device and
-    /// execute their chunk of queries independently, re-sensing every page
-    /// per query; the workers' flash, DRAM and ECC activity is merged back
-    /// into the primary controller afterwards. Either way, only the raw
-    /// error-injection statistics may differ from the sequential run, since
-    /// TLC rerank reads draw from different points of the error stream.
+    /// When embedding reads are error-prone the queries run one after
+    /// another, exactly as sequential [`ReisSystem::search`] calls would:
+    /// every query senses its own pages and continues the device's
+    /// error-injection stream, so the outcomes — injected bit errors
+    /// included — equal those of the sequential calls. `workers` has no
+    /// effect on this path.
     ///
     /// # Errors
     ///
@@ -800,8 +788,7 @@ impl ReisSystem {
     }
 
     /// `IVF_Search` over a batch of independent queries with a target
-    /// recall, executed in parallel across up to `workers` threads (see
-    /// [`ReisSystem::search_batch`]).
+    /// recall (see [`ReisSystem::search_batch`] for the role of `workers`).
     ///
     /// # Errors
     ///
@@ -858,7 +845,8 @@ impl ReisSystem {
             .databases
             .get(&db_id)
             .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        // Validate up front so a malformed query fails before threads spawn.
+        // Validate up front so a malformed query fails before any query runs
+        // (the fused executor relies on this).
         let dim = db.binary_quantizer.dim();
         if let Some(bad) = queries.iter().find(|q| q.len() != dim) {
             return Err(ReisError::QueryDimensionMismatch {
@@ -871,16 +859,13 @@ impl ReisSystem {
         }
         self.telemetry.count(CounterId::Batches, 1);
 
-        // Page-major fused execution on the shared device (the default):
-        // every distinct probed page is sensed once and scored against all
-        // covering queries; per-query outcomes are bit-identical to
-        // sequential search. Exactness of the borrowed page reads requires
-        // error-free embedding reads (ESP-SLC), the same gate that lets the
-        // engine score pages in place; otherwise — or when configured —
-        // fall back to the per-worker replica path below.
-        if self.config.batch_fusion == BatchFusion::Fused
-            && engine::embedding_reads_error_free(&self.controller)
-        {
+        // Page-major fused execution on the shared device: every distinct
+        // probed page is read once and scored against all covering queries;
+        // per-query outcomes are bit-identical to sequential search.
+        // Exactness of the borrowed page reads requires error-free embedding
+        // reads (ESP-SLC), the same gate that lets the engine score pages in
+        // place; otherwise the queries run one after another below.
+        if engine::embedding_reads_error_free(&self.controller) {
             let shard_budget = workers.clamp(1, self.auto_shards.max(1));
             self.telemetry.count(CounterId::FusedBatches, 1);
             return fused::execute_batch_fused(
@@ -899,163 +884,32 @@ impl ReisSystem {
             );
         }
 
-        let workers = workers.clamp(1, queries.len().max(1));
-        if workers == 1 {
-            return queries
-                .iter()
-                .map(|query| {
-                    execute_query(
-                        &self.config,
-                        &mut self.controller,
-                        &self.perf,
-                        &self.energy,
-                        &mut self.scratch,
-                        &self.sched,
-                        db,
-                        query,
-                        k,
-                        nprobe,
-                        &self.telemetry,
-                        "batch",
-                    )
-                })
-                .collect();
-        }
-
-        // Latch contents are per-query scratch; dropping them first makes the
-        // per-worker clones (copy-on-write over the flash blocks) nearly
-        // free, so batch throughput scales with the worker count instead of
-        // being dominated by device copies.
-        self.controller.device_mut().clear_all_latches();
-        let config = &self.config;
-        let perf = &self.perf;
-        let energy = &self.energy;
-        let telemetry = &self.telemetry;
-        let controller = &self.controller;
-        let sched = &self.sched;
-        let worker_scratch = &self.worker_scratch;
-        let activity_before = controller.activity_snapshot();
-        let chunk_len = queries.len().div_ceil(workers);
-
-        // One replica worker's chunk: its own copy-on-write device replica,
-        // a re-seeded error RNG (decorrelating the workers' injected error
-        // streams, which would otherwise all replay the primary's) and the
-        // scratch the caller hands it. No state is shared between queries
-        // in flight; the chunking and the seed depend only on the worker
-        // *number*, so both executors compute identical outcomes.
-        let run_chunk = |worker: usize, chunk: &[Vec<f32>], scratch: &mut ScanScratch| {
-            let mut replica = controller.clone();
-            replica.device_mut().reseed_error_rng(
-                0x9E37_79B9_7F4A_7C15 ^ activity_before.flash.page_reads ^ ((worker as u64) << 32),
-            );
-            let outcomes: Vec<Result<SearchOutcome>> = chunk
-                .iter()
-                .map(|query| {
-                    execute_query(
-                        config,
-                        &mut replica,
-                        perf,
-                        energy,
-                        scratch,
-                        sched,
-                        db,
-                        query,
-                        k,
-                        nprobe,
-                        telemetry,
-                        "batch",
-                    )
-                })
-                .collect();
-            WorkerOutput {
-                outcomes,
-                activity: replica.activity_since(&activity_before),
-            }
-        };
-        let run_chunk = &run_chunk;
-
-        let mut worker_outputs: Vec<WorkerOutput> = match self.config.scan_executor {
-            // Queue one task per chunk on the persistent pool. Each task
-            // reuses its worker's long-lived scratch (warm buffers across
-            // batches); when every slot is momentarily held — possible
-            // while a waiting worker helps run a sibling chunk — it falls
-            // back to a temporary scratch, which cannot affect results.
-            ScanExecutor::Pooled => {
-                let chunks: Vec<_> = queries.chunks(chunk_len).enumerate().collect();
-                let mut outputs: Vec<Option<WorkerOutput>> =
-                    (0..chunks.len()).map(|_| None).collect();
-                sched
-                    .scope(|scope| {
-                        for ((worker, chunk), output) in chunks.into_iter().zip(outputs.iter_mut())
-                        {
-                            scope.spawn(move |ctx| {
-                                let mut guard = worker_scratch.acquire(ctx);
-                                let mut temp;
-                                let scratch: &mut ScanScratch = match guard.as_deref_mut() {
-                                    Some(slot) => slot,
-                                    None => {
-                                        temp = ScanScratch::new();
-                                        &mut temp
-                                    }
-                                };
-                                *output = Some(run_chunk(worker, chunk, scratch));
-                            });
-                        }
-                    })
-                    .map_err(|panic| ReisError::WorkerPanic(panic.message))?;
-                outputs
-                    .into_iter()
-                    .map(|output| output.expect("scope waits for every chunk task"))
-                    .collect()
-            }
-            ScanExecutor::SpawnScoped => std::thread::scope(|scope| {
-                let handles: Vec<_> = queries
-                    .chunks(chunk_len)
-                    .enumerate()
-                    .map(|(worker, chunk)| {
-                        scope.spawn(move || {
-                            let mut scratch = ScanScratch::new();
-                            run_chunk(worker, chunk, &mut scratch)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            }),
-        };
-
-        // Merge every worker's flash, DRAM and ECC activity into the primary
-        // controller before surfacing any per-query error: even a failing
-        // batch performed real work on the replicas, and the primary's
-        // counters stay authoritative for monitoring.
-        for output in &worker_outputs {
-            self.controller.absorb_activity(&output.activity);
-        }
-
-        let mut outcomes = Vec::with_capacity(queries.len());
-        for output in worker_outputs.drain(..) {
-            for outcome in output.outcomes {
-                outcomes.push(outcome?);
-            }
-        }
-        Ok(outcomes)
+        queries
+            .iter()
+            .map(|query| {
+                execute_query(
+                    &self.config,
+                    &mut self.controller,
+                    &self.perf,
+                    &self.energy,
+                    &mut self.scratch,
+                    &self.sched,
+                    db,
+                    query,
+                    k,
+                    nprobe,
+                    &self.telemetry,
+                    "batch",
+                )
+            })
+            .collect()
     }
-}
-
-/// Per-worker products of one batch-search chunk: the query outcomes plus
-/// the controller-activity delta to merge back into the primary.
-struct WorkerOutput {
-    outcomes: Vec<Result<SearchOutcome>>,
-    activity: ControllerActivity,
 }
 
 /// Execute one query against a deployed database on the given controller.
 ///
-/// This is the shared body of the sequential and batched search paths: the
-/// caller supplies the controller (the system's own, or a per-worker
-/// replica) and the [`ScanScratch`] to reuse.
+/// This is the shared body of single-query search and of batches over
+/// error-prone reads; the caller supplies the [`ScanScratch`] to reuse.
 #[allow(clippy::too_many_arguments)]
 fn execute_query(
     config: &ReisConfig,
@@ -1174,7 +1028,7 @@ pub(crate) fn stamp(mark: &mut Option<Instant>, out: &mut u64) {
 
 /// Record one completed query into the telemetry handle: lifecycle
 /// counters, wall/modelled histograms, the trace-ring span record and the
-/// explain trace if one was armed. Shared by the sequential/replica path
+/// explain trace if one was armed. Shared by the per-query path
 /// ([`execute_query`]) and the fused batch executor. No-op when disabled.
 pub(crate) fn record_query_telemetry(
     telemetry: &Telemetry,
@@ -1410,9 +1264,11 @@ mod tests {
 
     #[test]
     fn ivf_search_batch_matches_sequential_and_merges_stats() {
-        // Replica mode: every query re-senses its own pages, so the merged
-        // device delta equals the per-query sum exactly.
-        let config = ReisConfig::tiny().with_batch_fusion(crate::config::BatchFusion::Replicas);
+        // Error-prone embedding reads run the batch query by query: every
+        // query senses its own pages, so the device delta equals the
+        // per-query sum exactly.
+        let mut config = ReisConfig::tiny();
+        config.ssd.hybrid = reis_ssd::HybridPolicy::all_tlc();
         let mut system = ReisSystem::new(config);
         let (id, vectors) = deploy_ivf(&mut system, 160, 64, 8);
         let queries: Vec<Vec<f32>> = (0..6).map(|q| vectors[q * 19].clone()).collect();
@@ -1428,7 +1284,7 @@ mod tests {
             assert_eq!(b.result_ids(), s.result_ids());
             assert_eq!(b.documents, s.documents);
         }
-        // The workers' flash activity is folded back into the primary device.
+        // Every query's flash activity lands on the one device.
         let delta = system.controller().device().stats().delta_since(&before);
         let per_query: u64 = batch.iter().map(|o| o.flash_stats.page_reads).sum();
         assert_eq!(delta.page_reads, per_query);
@@ -1493,8 +1349,7 @@ mod tests {
     /// Equality of everything a query computes. The raw
     /// `injected_bit_errors` counter is exempt: it reflects the device RNG's
     /// position, which depends on the *history* of TLC reads on that device,
-    /// not on how the scan of the compared query was parallelized (the batch
-    /// path documents the same exemption for its worker replicas).
+    /// not on how the scan of the compared query was parallelized.
     fn assert_outcome_eq(a: &SearchOutcome, b: &SearchOutcome, ctx: &str) {
         assert_eq!(a.results, b.results, "results: {ctx}");
         assert_eq!(a.documents, b.documents, "documents: {ctx}");
@@ -1554,33 +1409,6 @@ mod tests {
         system.set_scan_parallelism(crate::config::ScanParallelism::pinned_sequential());
         let again = system.search(id, &vectors[11], 5).unwrap();
         assert_outcome_eq(&again, &baseline, "sequential after reconfigure");
-    }
-
-    #[test]
-    fn batch_workers_compose_with_intra_query_shards() {
-        // Pin the replica batch path: this test is about replica workers
-        // each driving their own intra-query shards (fused composition is
-        // covered by the fused test suite).
-        let config = ReisConfig::tiny()
-            .with_batch_fusion(crate::config::BatchFusion::Replicas)
-            .with_adaptive_filtering(false)
-            .with_scan_parallelism(
-                crate::config::ScanParallelism::sharded(2).with_min_pages_per_shard(1),
-            );
-        let mut system = ReisSystem::new(config);
-        let (id, vectors) = deploy_flat(&mut system, 96, 64);
-        let queries: Vec<Vec<f32>> = (0..5).map(|q| vectors[q * 13].clone()).collect();
-        let sequential: Vec<_> = queries
-            .iter()
-            .map(|q| system.search(id, q, 5).unwrap())
-            .collect();
-        let batch = system.search_batch(id, &queries, 5, 3).unwrap();
-        for (b, s) in batch.iter().zip(&sequential) {
-            assert_eq!(b.result_ids(), s.result_ids());
-            assert_eq!(b.documents, s.documents);
-            assert_eq!(b.latency, s.latency);
-            assert_eq!(b.activity, s.activity);
-        }
     }
 
     #[test]

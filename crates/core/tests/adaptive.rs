@@ -4,7 +4,7 @@
 //! barriers of a scan's deterministic page list, so an adapting scan must
 //! produce bit-identical results, documents, modelled latency/activity *and
 //! transferred-entry counts* across `ScanParallelism::{pinned sequential,
-//! sharded}` and `BatchFusion::Fused`, on every machine, including over
+//! sharded}` and the fused batch executor, on every machine, including over
 //! mutated and compacted indexes. This suite proves that with targeted
 //! window-barrier edge cases plus a randomized cross-mode identity
 //! property.
@@ -414,8 +414,8 @@ proptest! {
             }
         }
 
-        // Fused batch on a third fresh system (default BatchFusion::Fused
-        // with the default auto shard budget — exactly what
+        // Fused batch on a third fresh system (error-free reads run the
+        // fused executor, with the default auto shard budget — exactly what
         // REIS_TEST_PARALLELISM pins in the determinism gate).
         let mut fused = ReisSystem::new(base);
         let fused_id = fused.deploy(&db).expect("fused deploy");

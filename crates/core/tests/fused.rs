@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 
 use reis_core::{
-    BatchFusion, CompactionPolicy, ReisConfig, ReisSystem, ScanParallelism, SearchOutcome,
-    VectorDatabase,
+    CompactionPolicy, ReisConfig, ReisSystem, ScanParallelism, SearchOutcome, VectorDatabase,
 };
 use reis_nand::Geometry;
 use reis_ssd::SsdConfig;
@@ -248,22 +247,6 @@ fn fused_batch_composes_with_intra_query_sharding() {
         4,
         "sharded fused, ivf",
     );
-}
-
-#[test]
-fn fused_and_replica_batches_return_identical_outcomes() {
-    let all = vectors(120, 64);
-    let db = VectorDatabase::ivf(&all, documents(120), 6).unwrap();
-    let queries: Vec<Vec<f32>> = (0..5).map(|q| all[q * 21].clone()).collect();
-    let mut fused = ReisSystem::new(ReisConfig::tiny());
-    let fused_id = fused.deploy(&db).unwrap();
-    let mut replicas = ReisSystem::new(ReisConfig::tiny().with_batch_fusion(BatchFusion::Replicas));
-    let replica_id = replicas.deploy(&db).unwrap();
-    let a = fused.search_batch(fused_id, &queries, 5, 3).unwrap();
-    let b = replicas.search_batch(replica_id, &queries, 5, 3).unwrap();
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_outcome_eq(x, y, &format!("fused vs replicas, query {i}"));
-    }
 }
 
 proptest! {

@@ -1,15 +1,13 @@
 //! Scheduler identity: the persistent worker pool changes *when threads
 //! exist*, never *what a query returns*.
 //!
-//! PR-10 moved every parallel execution path — sharded scan windows, fused
-//! page chunks and replica batch workers — from scoped `std::thread` spawns
-//! onto one long-lived work-stealing pool (`reis-sched`), and added the
-//! asynchronous request [`Pipeline`] in front of the batch executors. Both
-//! are pure scheduling changes, so this suite proves the strongest claim
-//! available: results, documents, modelled latency/activity and
-//! transferred-entry accounting are bit-identical across
-//! `ScanExecutor::{Pooled, SpawnScoped}` × `ScanParallelism` ×
-//! `BatchFusion` × pool sizes, and a pipeline-formed batch answers exactly
+//! Every parallel execution path — sharded scan windows and fused page
+//! chunks — runs on one long-lived work-stealing pool (`reis-sched`), and
+//! the asynchronous request [`Pipeline`] sits in front of the batch
+//! executor. Both are pure scheduling, so this suite proves the strongest
+//! claim available: results, documents, modelled latency/activity and
+//! transferred-entry accounting are bit-identical across `ScanParallelism`
+//! × fused batch × pool sizes, and a pipeline-formed batch answers exactly
 //! like a direct `search_batch` call.
 //!
 //! # The scheduler CI gate
@@ -19,7 +17,7 @@
 //! four times crossing `REIS_TEST_PARALLELISM={1,4}` (the forced auto-shard
 //! budget) with `REIS_SCHED_WORKERS={1,4}` (the pool size) and diffs every
 //! leg against the first: any accounting that depends on how many workers
-//! the pool has — or on which executor ran the shards — fails the gate.
+//! the pool has — or on how many shards a scan split into — fails the gate.
 //! The pipeline property makes the diff sensitive to formation order
 //! because its summary records virtual completion times, which would shift
 //! if pool size leaked into batch formation.
@@ -29,9 +27,9 @@ use std::io::Write;
 use proptest::prelude::*;
 
 use reis_core::{
-    AdaptiveFiltering, BatchFusion, CompactionPolicy, LanePriority, PipelineConfig, PipelineReply,
-    PipelineRequest, ReisConfig, ReisError, ReisSystem, ScanExecutor, ScanParallelism,
-    SearchOutcome, VectorDatabase,
+    AdaptiveFiltering, CompactionPolicy, LanePriority, PipelineConfig, PipelineReply,
+    PipelineRequest, ReisConfig, ReisError, ReisSystem, ScanParallelism, SearchOutcome,
+    VectorDatabase,
 };
 use reis_workloads::ArrivalTrace;
 
@@ -244,37 +242,31 @@ fn pipeline_mutations_first_gives_read_your_writes() {
     );
 }
 
-/// Build the executor × parallelism legs the identity property compares.
-/// Every leg must agree with every other — and with itself across the
-/// gate's `REIS_SCHED_WORKERS` pool sizes.
-fn scheduler_mode_configs(base: ReisConfig, shards: usize) -> Vec<(String, ReisConfig)> {
-    let mut legs = Vec::new();
-    for (exec_name, executor) in [
-        ("pooled", ScanExecutor::Pooled),
-        ("spawn", ScanExecutor::SpawnScoped),
-    ] {
-        let with_exec = base.with_scan_executor(executor);
-        legs.push((
-            format!("{exec_name}/pinned-sequential"),
-            with_exec.with_scan_parallelism(ScanParallelism::pinned_sequential()),
-        ));
-        legs.push((
-            format!("{exec_name}/sharded"),
-            with_exec.with_scan_parallelism(
+/// Build the pooled parallelism legs the identity property compares. Both
+/// legs must agree with each other — and with themselves across the gate's
+/// `REIS_SCHED_WORKERS` pool sizes.
+fn scheduler_mode_configs(base: ReisConfig, shards: usize) -> Vec<(&'static str, ReisConfig)> {
+    vec![
+        (
+            "pooled/pinned-sequential",
+            base.with_scan_parallelism(ScanParallelism::pinned_sequential()),
+        ),
+        (
+            "pooled/sharded",
+            base.with_scan_parallelism(
                 ScanParallelism::sharded(forced_budget(shards)).with_min_pages_per_shard(1),
             ),
-        ));
-    }
-    legs
+        ),
+    ]
 }
 
 proptest! {
-    /// Searches and batch searches are bit-identical across
-    /// `ScanExecutor::{Pooled, SpawnScoped}` × `ScanParallelism` ×
-    /// `BatchFusion` over random database shapes and mutation traces. The
-    /// transferred-entry and sense accounting lands in the scheduler-gate
-    /// summary, so CI additionally diffs it across forced shard budgets
-    /// *and* pool sizes.
+    /// Searches on the pool are bit-identical across pinned-sequential and
+    /// sharded `ScanParallelism`, and the pooled fused batch is per-query
+    /// bit-identical to them, over random database shapes and mutation
+    /// traces. The transferred-entry and sense accounting lands in the
+    /// scheduler-gate summary, so CI additionally diffs it across forced
+    /// shard budgets *and* pool sizes.
     #[test]
     fn executor_identity_across_pool_spawn_and_fusion(
         entries in 24usize..72,
@@ -321,7 +313,7 @@ proptest! {
             }
         };
 
-        let mut per_leg: Vec<(String, Vec<SearchOutcome>)> = Vec::new();
+        let mut per_leg: Vec<(&str, Vec<SearchOutcome>)> = Vec::new();
         for (name, config) in scheduler_mode_configs(base, shards) {
             let mut system = ReisSystem::new(config);
             let id = system.deploy(&db).expect("deploy");
@@ -346,48 +338,30 @@ proptest! {
             }
         }
 
-        // Batch executors: the pooled fused batch, the pooled replica
-        // batch and the spawn-scoped replica batch must each be per-query
-        // bit-identical to the sequential reference.
-        let mut fused_senses = 0u64;
-        for (name, config) in [
-            ("pooled-fused", base.with_scan_executor(ScanExecutor::Pooled)),
-            (
-                "pooled-replicas",
-                base.with_scan_executor(ScanExecutor::Pooled)
-                    .with_batch_fusion(BatchFusion::Replicas),
-            ),
-            (
-                "spawn-replicas",
-                base.with_scan_executor(ScanExecutor::SpawnScoped)
-                    .with_batch_fusion(BatchFusion::Replicas),
-            ),
-        ] {
-            let mut system = ReisSystem::new(config);
-            let id = system.deploy(&db).expect("batch deploy");
-            mutate(&mut system, id);
-            let before = *system.controller().device().stats();
-            let bf = system
-                .search_batch(id, &queries, 1, shards)
-                .expect("bf batch");
-            if name == "pooled-fused" {
-                fused_senses = system
-                    .controller()
-                    .device()
-                    .stats()
-                    .delta_since(&before)
-                    .page_reads;
-            }
-            let ivf = system
-                .ivf_search_batch_with_nprobe(id, &queries, 1, nprobe, shards)
-                .expect("ivf batch");
-            for (i, (b, s)) in bf.iter().chain(&ivf).zip(reference).enumerate() {
-                assert_outcome_eq(b, s, &format!("{name} batch vs sequential, query {i}"));
-            }
+        // The pooled fused batch must be per-query bit-identical to the
+        // sequential reference.
+        let mut system = ReisSystem::new(base);
+        let id = system.deploy(&db).expect("batch deploy");
+        mutate(&mut system, id);
+        let before = *system.controller().device().stats();
+        let bf = system
+            .search_batch(id, &queries, 1, shards)
+            .expect("bf batch");
+        let fused_senses = system
+            .controller()
+            .device()
+            .stats()
+            .delta_since(&before)
+            .page_reads;
+        let ivf = system
+            .ivf_search_batch_with_nprobe(id, &queries, 1, nprobe, shards)
+            .expect("ivf batch");
+        for (i, (b, s)) in bf.iter().chain(&ivf).zip(reference).enumerate() {
+            assert_outcome_eq(b, s, &format!("pooled-fused batch vs sequential, query {i}"));
         }
 
-        // Gate summary: identical regardless of executor, shard budget or
-        // pool size — that is precisely the scheduler-invariance claim.
+        // Gate summary: identical regardless of shard budget or pool size —
+        // that is precisely the scheduler-invariance claim.
         let entries_line: Vec<String> = reference
             .iter()
             .map(|o| format!("{}/{}", o.activity.fine_entries, o.activity.fine_windows))

@@ -8,7 +8,9 @@
 //! injected bit errors reach the distances. Both paths are pinned here to
 //! literal result ids and flash counters, for the single brute-force search,
 //! the single IVF search and a batch search: a change to how a page is
-//! scored must not move what a query returns or what it is charged.
+//! scored must not move what a query returns or what it is charged. With
+//! error-prone reads a batch runs its queries one after another on the one
+//! device, so it must also equal the same searches issued one at a time.
 
 use reis_core::{ReisConfig, ReisSystem, SearchOutcome, VectorDatabase};
 use reis_ssd::HybridPolicy;
@@ -47,9 +49,10 @@ fn pinned(outcome: &SearchOutcome) -> Pinned {
     )
 }
 
-/// Run a brute-force search, an IVF search and a two-query batch search on
-/// one system, in that order, and return each outcome's pinned view.
-fn run(config: ReisConfig) -> Vec<(&'static str, Pinned)> {
+/// Deploy a flat and an IVF database on a fresh system and run one
+/// brute-force and one IVF search. Returns the system, the flat database
+/// id, the corpus and the two outcomes.
+fn prefix(config: ReisConfig) -> (ReisSystem, u32, Vec<Vec<f32>>, [SearchOutcome; 2]) {
     let all = vectors(96, 256);
     let mut system = ReisSystem::new(config);
     let flat = system
@@ -60,8 +63,18 @@ fn run(config: ReisConfig) -> Vec<(&'static str, Pinned)> {
         .unwrap();
     let search = system.search(flat, &all[37], 5).unwrap();
     let ivf_search = system.ivf_search_with_nprobe(ivf, &all[37], 5, 2).unwrap();
+    (system, flat, all, [search, ivf_search])
+}
+
+/// The two queries of the batch search.
+const BATCH: [usize; 2] = [37, 90];
+
+/// Run a brute-force search, an IVF search and a two-query batch search on
+/// one system, in that order, and return each outcome's pinned view.
+fn run(config: ReisConfig) -> Vec<(&'static str, Pinned)> {
+    let (mut system, flat, all, [search, ivf_search]) = prefix(config);
     let batch = system
-        .search_batch(flat, &[all[37].clone(), all[90].clone()], 5, 2)
+        .search_batch(flat, &BATCH.map(|q| all[q].clone()), 5, 2)
         .unwrap();
     vec![
         ("search", pinned(&search)),
@@ -122,12 +135,35 @@ fn error_prone_embedding_reads_sense_through_the_latches() {
             ),
             (
                 "batch[0]",
-                (vec![6, 37, 68, 25, 56], [15, 4, 4, 4, 49942, 48]),
+                (vec![6, 37, 68, 25, 56], [15, 4, 4, 4, 49942, 49]),
             ),
             (
                 "batch[1]",
                 (vec![28, 59, 90, 16, 47], [15, 4, 4, 4, 49942, 50]),
             ),
         ],
+    );
+}
+
+#[test]
+fn error_prone_batch_equals_sequential_searches() {
+    // Error-prone reads run a batch query by query on the one device, so
+    // after the same prefix a batch and the same searches issued one at a
+    // time draw the same error stream and agree field for field.
+    let mut config = ReisConfig::tiny();
+    config.ssd.hybrid = HybridPolicy::all_tlc();
+    let (mut batched, flat, all, _) = prefix(config);
+    let batch = batched
+        .search_batch(flat, &BATCH.map(|q| all[q].clone()), 5, 2)
+        .unwrap();
+    let (mut twin, twin_flat, _, _) = prefix(config);
+    let sequential: Vec<SearchOutcome> = BATCH
+        .iter()
+        .map(|&q| twin.search(twin_flat, &all[q], 5).unwrap())
+        .collect();
+    assert_eq!(batch, sequential);
+    assert_eq!(
+        batched.controller().device().stats(),
+        twin.controller().device().stats()
     );
 }

@@ -16,11 +16,21 @@
 use proptest::prelude::*;
 
 use reis_cluster::ClusterSystem;
-use reis_core::{
-    BatchFusion, CounterId, HistogramId, ReisConfig, ReisSystem, ScanParallelism, VectorDatabase,
-};
+use reis_core::{CounterId, HistogramId, ReisConfig, ReisSystem, ScanParallelism, VectorDatabase};
+use reis_ssd::HybridPolicy;
 
 const DIM: usize = 32;
+
+/// The config of one batch leg: the default (error-free embedding reads)
+/// runs the fused executor; all-TLC embedding reads are error-prone, so the
+/// batch runs query by query instead.
+fn batch_config(fused: bool) -> ReisConfig {
+    let mut config = ReisConfig::tiny();
+    if !fused {
+        config.ssd.hybrid = HybridPolicy::all_tlc();
+    }
+    config
+}
 
 fn corpus(entries: usize, salt: usize) -> (Vec<Vec<f32>>, Vec<Vec<u8>>) {
     let vectors: Vec<Vec<f32>> = (0..entries)
@@ -90,8 +100,8 @@ proptest! {
     }
 
     /// The `FlashSenses` counter equals the summed per-query sense counts,
-    /// and `FineWindows` the summed window counts, across sequential,
-    /// replica and fused batch execution.
+    /// and `FineWindows` the summed window counts, across fused and
+    /// query-by-query batch execution.
     #[test]
     fn sense_counter_matches_flash_stats(
         entries in 24usize..80,
@@ -102,8 +112,7 @@ proptest! {
         let (vectors, documents) = corpus(entries, salt);
         let db = VectorDatabase::flat(&vectors, documents).expect("valid database");
         let fused = fused_flag == 1;
-        let fusion = if fused { BatchFusion::Fused } else { BatchFusion::Replicas };
-        let config = ReisConfig::tiny().with_batch_fusion(fusion);
+        let config = batch_config(fused);
         let mut system = ReisSystem::new(config);
         system.enable_telemetry();
         let db_id = system.deploy(&db).expect("deploy");
@@ -154,7 +163,8 @@ proptest! {
 
     /// Bit-identity: every field of every outcome — results, documents,
     /// activity, modelled latency, flash statistics — is identical with
-    /// telemetry enabled and disabled, across fusion modes and a mutation.
+    /// telemetry enabled and disabled, across both batch paths and a
+    /// mutation.
     #[test]
     fn outcomes_identical_with_telemetry_on_and_off(
         entries in 24usize..80,
@@ -165,8 +175,7 @@ proptest! {
         let (vectors, documents) = corpus(entries, salt);
         let db = VectorDatabase::flat(&vectors, documents).expect("valid database");
         let fused = fused_flag == 1;
-        let fusion = if fused { BatchFusion::Fused } else { BatchFusion::Replicas };
-        let config = ReisConfig::tiny().with_batch_fusion(fusion);
+        let config = batch_config(fused);
 
         let mut plain = ReisSystem::new(config);
         let mut observed = ReisSystem::new(config);

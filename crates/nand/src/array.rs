@@ -58,10 +58,9 @@ impl Block {
 /// One plane: lazily allocated blocks plus the plane's page buffer.
 ///
 /// Blocks are held behind [`Arc`] with copy-on-write mutation
-/// ([`Arc::make_mut`]): cloning a device for a batch-search worker then
-/// costs one refcount bump per programmed block instead of a deep copy of
-/// the stored pages, and read-only scans on the replicas share the flash
-/// contents with the primary.
+/// ([`Arc::make_mut`]): cloning a device then costs one refcount bump per
+/// programmed block instead of a deep copy of the stored pages, and the
+/// clone shares the flash contents with the original until either writes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Plane {
     buffer: PageBuffer,
@@ -194,18 +193,11 @@ impl FlashDevice {
     }
 
     /// Merge externally measured operation counters into this device's
-    /// statistics. Batch search runs queries on per-worker device replicas;
-    /// their per-query deltas are folded back here so the primary device's
-    /// counters stay authoritative.
+    /// statistics. Sharded and fused scans read stored pages without
+    /// counting and tally their work locally; their totals are folded back
+    /// here so the device's counters stay authoritative.
     pub fn absorb_stats(&mut self, delta: &FlashStats) {
         self.stats.accumulate(delta);
-    }
-
-    /// Re-seed the read-error-injection generator. Cloned devices (batch
-    /// search workers) inherit the primary's RNG state; giving every replica
-    /// a distinct seed decorrelates their injected error streams.
-    pub fn reseed_error_rng(&mut self, seed: u64) {
-        self.rng = SplitMix64::new(seed);
     }
 
     fn plane_index(&self, addr: PlaneAddr) -> Result<usize> {
@@ -610,17 +602,6 @@ impl FlashDevice {
     pub fn transfer_to_controller(&mut self, bytes: usize) -> Nanos {
         self.stats.bytes_to_controller += bytes as u64;
         self.timing.channel_transfer(bytes)
-    }
-
-    /// Clear every plane's page buffer (all latches and OOB bytes).
-    ///
-    /// Latch contents are per-query scratch, not persistent state; clearing
-    /// them before cloning the device for batch-search workers keeps the
-    /// clones as cheap as the copy-on-write block sharing allows.
-    pub fn clear_all_latches(&mut self) {
-        for plane in &mut self.planes {
-            plane.buffer.clear();
-        }
     }
 
     /// Promote the sensing latch of a plane to its cache latch, freeing the

@@ -104,8 +104,8 @@ impl FlashStats {
     }
 
     /// Element-wise accumulation of another counter set into this one, used
-    /// to merge the activity of per-worker device replicas (batch search)
-    /// back into the primary device's counters.
+    /// to merge the locally tallied activity of scan shards and fused
+    /// batch scans.
     pub fn accumulate(&mut self, other: &FlashStats) {
         self.page_reads += other.page_reads;
         self.page_programs += other.page_programs;

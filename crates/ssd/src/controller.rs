@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use reis_nand::{FlashDevice, FlashStats, Nanos, PageAddr};
+use reis_nand::{FlashDevice, Nanos, PageAddr};
 
 use crate::allocator::{PageAllocator, StripedRegion};
 use crate::config::SsdConfig;
@@ -30,44 +30,6 @@ pub struct HostReadOutcome {
     pub latency: Nanos,
     /// Whether ECC fully corrected the raw read.
     pub corrected: bool,
-}
-
-/// Snapshot (or delta) of every activity counter the controller tracks:
-/// flash operations, internal-DRAM traffic and ECC work.
-///
-/// Parallel search paths — batch-search workers running on controller
-/// replicas, and intra-query scan shards accounting their flash work
-/// locally — measure their activity as a delta between two snapshots and
-/// fold it back into the primary controller with
-/// [`SsdController::absorb_activity`], so the primary's counters stay
-/// authoritative no matter how the work was parallelized.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControllerActivity {
-    /// Flash device operation counters.
-    pub flash: FlashStats,
-    /// Bytes read from the internal DRAM.
-    pub dram_bytes_read: u64,
-    /// Bytes written to the internal DRAM.
-    pub dram_bytes_written: u64,
-    /// Pages decoded by the ECC engine.
-    pub ecc_pages_decoded: u64,
-    /// Bit errors corrected by the ECC engine.
-    pub ecc_bits_corrected: u64,
-}
-
-impl ControllerActivity {
-    /// An activity delta consisting of flash work only — the shape fused
-    /// multi-query scans produce: they sense borrowed pages and run the
-    /// in-plane kernels without touching DRAM or the ECC engine, then fold
-    /// the tally back via [`SsdController::absorb_activity`]. Each page of a
-    /// fused scan is counted as sensed *once* no matter how many queries it
-    /// was scored against (see `FlashStats::fused_scan`).
-    pub fn flash_only(flash: FlashStats) -> Self {
-        ControllerActivity {
-            flash,
-            ..ControllerActivity::default()
-        }
-    }
 }
 
 /// The simulated SSD controller.
@@ -413,43 +375,6 @@ impl SsdController {
         Ok((addr, data, oob))
     }
 
-    /// Snapshot every activity counter (flash, DRAM, ECC) of this
-    /// controller, for later differencing with
-    /// [`SsdController::activity_since`].
-    pub fn activity_snapshot(&self) -> ControllerActivity {
-        ControllerActivity {
-            flash: *self.device.stats(),
-            dram_bytes_read: self.dram.bytes_read(),
-            dram_bytes_written: self.dram.bytes_written(),
-            ecc_pages_decoded: self.ecc.pages_decoded(),
-            ecc_bits_corrected: self.ecc.bits_corrected(),
-        }
-    }
-
-    /// The activity performed since `before` was snapshotted (element-wise
-    /// difference of all counters).
-    pub fn activity_since(&self, before: &ControllerActivity) -> ControllerActivity {
-        let now = self.activity_snapshot();
-        ControllerActivity {
-            flash: now.flash.delta_since(&before.flash),
-            dram_bytes_read: now.dram_bytes_read - before.dram_bytes_read,
-            dram_bytes_written: now.dram_bytes_written - before.dram_bytes_written,
-            ecc_pages_decoded: now.ecc_pages_decoded - before.ecc_pages_decoded,
-            ecc_bits_corrected: now.ecc_bits_corrected - before.ecc_bits_corrected,
-        }
-    }
-
-    /// Merge an externally measured activity delta into this controller's
-    /// counters: batch-search worker replicas and intra-query scan shards
-    /// perform real work that the primary controller must account for.
-    pub fn absorb_activity(&mut self, delta: &ControllerActivity) {
-        self.device.absorb_stats(&delta.flash);
-        self.dram
-            .absorb_traffic(delta.dram_bytes_read, delta.dram_bytes_written);
-        self.ecc
-            .absorb_counters(delta.ecc_pages_decoded, delta.ecc_bits_corrected);
-    }
-
     /// Translate a page address helper for a region offset (convenience for
     /// the in-storage engine).
     ///
@@ -564,31 +489,16 @@ mod tests {
             &[9, 8, 7],
         )
         .unwrap();
-        let before = ssd.activity_snapshot();
+        let before = ssd.clone();
         let (addr, data, oob) = ssd.scan_region_page(&region, 1).unwrap();
         assert_eq!(addr, region.page_at(&ssd.config().geometry, 1).unwrap());
         assert_eq!(data.len(), ssd.config().geometry.page_size_bytes);
         assert_eq!(data[0], 0x5A);
         assert_eq!(&oob[..3], &[9, 8, 7]);
         // A shard read records nothing; the shard's own stats are merged
-        // back through absorb_activity instead.
-        let delta = ssd.activity_since(&before);
-        assert_eq!(delta, ControllerActivity::default());
+        // back through `FlashDevice::absorb_stats` instead.
+        assert_eq!(ssd, before);
         assert!(ssd.scan_region_page(&region, 0).is_err(), "unprogrammed");
-    }
-
-    #[test]
-    fn activity_snapshot_absorb_roundtrip() {
-        let mut primary = controller();
-        let mut replica = primary.clone();
-        let before = replica.activity_snapshot();
-        replica.host_write(3, &[1u8; 512]).unwrap();
-        replica.host_read(3).unwrap();
-        let delta = replica.activity_since(&before);
-        assert!(delta.flash.page_reads > 0);
-        assert!(delta.ecc_pages_decoded > 0);
-        primary.absorb_activity(&delta);
-        assert_eq!(primary.activity_snapshot(), replica.activity_snapshot());
     }
 
     #[test]

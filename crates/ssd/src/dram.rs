@@ -131,13 +131,6 @@ impl InternalDram {
         self.params.access_latency + Nanos::from_secs_f64(bytes as f64 / self.params.bandwidth_bps)
     }
 
-    /// Merge externally measured traffic into this DRAM's counters (used to
-    /// fold batch-search worker replicas' activity back into the primary).
-    pub fn absorb_traffic(&mut self, bytes_read: u64, bytes_written: u64) {
-        self.bytes_read += bytes_read;
-        self.bytes_written += bytes_written;
-    }
-
     /// Total bytes read since construction.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read

@@ -93,14 +93,6 @@ impl EccEngine {
         }
     }
 
-    /// Merge externally measured decode activity into this engine's counters
-    /// (used to fold batch-search worker replicas' activity back into the
-    /// primary).
-    pub fn absorb_counters(&mut self, pages_decoded: u64, bits_corrected: u64) {
-        self.pages_decoded += pages_decoded;
-        self.bits_corrected += bits_corrected;
-    }
-
     /// Pages decoded so far.
     pub fn pages_decoded(&self) -> u64 {
         self.pages_decoded

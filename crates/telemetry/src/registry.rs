@@ -20,8 +20,8 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum CounterId {
-    /// Single queries executed (`ReisSystem::search` and the per-query
-    /// legs of replica batches; fused batch members count here too).
+    /// Single queries executed (`ReisSystem::search` and every member of a
+    /// batch, fused or not).
     Queries,
     /// Batched search calls.
     Batches,
