@@ -32,6 +32,10 @@
 //!   search, batched search, mutation routing with replica lockstep,
 //!   retry/failover/degradation, per-leaf durability, cluster-manifest
 //!   recovery and down-leaf rejoin.
+//! * [`pipeline`] — the cluster as a backend of the one request pipeline,
+//!   [`reis_core::Pipeline`]: [`ClusterSystem::pipeline`] opens a
+//!   [`ClusterPipeline`] whose lanes, formation and virtual-time schedule
+//!   are the device pipeline's, with [`ClusterPipelineReply`] answers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

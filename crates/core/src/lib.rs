@@ -80,7 +80,8 @@ pub use leaf::{LeafCandidate, LeafDocumentsOutcome, LeafQueryOutcome};
 pub use mutate::{CompactionOutcome, MutationOutcome};
 pub use perf::{LatencyBreakdown, PerfModel, QueryActivity};
 pub use pipeline::{
-    LanePriority, Pipeline, PipelineCompletion, PipelineConfig, PipelineReply, PipelineRequest,
+    LanePriority, Pipeline, PipelineBackend, PipelineCompletion, PipelineConfig, PipelineMutation,
+    PipelineReply, PipelineRequest,
 };
 pub use records::{RIvf, RIvfEntry, TemporalTopList, TtlEntry};
 pub use reis_sched::{WorkerContext, WorkerPool};

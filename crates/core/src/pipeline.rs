@@ -12,19 +12,27 @@
 //! * **Batch formation.** Compatible searches (same `k`/`nprobe`) collect
 //!   until the batch reaches [`PipelineConfig::max_batch`] or its oldest
 //!   member has waited [`PipelineConfig::max_wait_ns`], then the whole batch
-//!   executes through the fused batch executor (one sense per distinct page
-//!   for the entire batch). Under light load batches stay small and latency
-//!   low; under heavy load they fill and throughput rises.
+//!   executes as one call to the backend (on a device, the fused batch
+//!   executor: one sense per distinct page for the entire batch). Under
+//!   light load batches stay small and latency low; under heavy load they
+//!   fill and throughput rises.
 //! * **Priority lanes.** Mutations and searches queue separately;
 //!   [`LanePriority`] decides whether pending mutations drain before a
 //!   search batch dispatches (`MutationsFirst`, the default — searches then
 //!   observe every earlier-arriving write) or wait their own turn.
 //!
+//! This is the one request pipeline. It is generic over a
+//! [`PipelineBackend`], which only executes a formed search batch, applies
+//! one mutation and prices each reply; [`ReisSystem`] serves one database
+//! through it, and `reis_cluster::ClusterSystem` a whole cluster. Formation
+//! never looks at the backend, so the same trace dispatches the same
+//! batches at the same virtual times on either.
+//!
 //! Time is **virtual**: callers stamp submissions with nanosecond
 //! timestamps (e.g. from a seeded
 //! [`ArrivalTrace`](../../reis_workloads/arrival) — the `fig_scheduler`
-//! bench does), and completions are priced by the modelled device latency,
-//! serialized through a device-busy horizon. The whole pipeline is therefore
+//! bench does), and completions are priced by the backend's modelled
+//! latency, serialized through a device-busy horizon. The whole pipeline is therefore
 //! deterministic: the same trace produces byte-identical completions on any
 //! machine and any pool size, which is what lets the scheduler CI gate diff
 //! its summaries, and lets a QPS-vs-p99 sweep run on a single-core host.
@@ -33,9 +41,10 @@
 //! `reis-telemetry` (`reis_pipeline_*`), recorded only at submit/dispatch
 //! points — never inside the engine — so telemetry stays non-perturbing.
 
-use std::collections::VecDeque;
+use std::fmt::Debug;
 
-use reis_telemetry::{CounterId, HistogramId};
+use reis_nand::Nanos;
+use reis_telemetry::{CounterId, HistogramId, Telemetry};
 
 use crate::error::{ReisError, Result};
 use crate::mutate::MutationOutcome;
@@ -56,7 +65,7 @@ pub enum LanePriority {
 /// Tuning knobs of a [`Pipeline`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
-    /// Largest batch handed to the fused executor; a full lane dispatches
+    /// Largest batch handed to the backend; a full lane dispatches
     /// immediately. Clamped to ≥ 1.
     pub max_batch: usize,
     /// Longest time the oldest queued request waits before its lane
@@ -67,9 +76,10 @@ pub struct PipelineConfig {
     pub queue_depth: usize,
     /// Lane dispatch order (see [`LanePriority`]).
     pub priority: LanePriority,
-    /// Worker budget handed to the batch executors. Deliberately explicit
-    /// (not derived from the pool size) so the formed work — and with it
-    /// every diffable summary — is identical across pool sizes.
+    /// The fused batch executor's shard budget on a device. Deliberately
+    /// explicit (not derived from the pool size) so the formed work — and
+    /// with it every diffable summary — is identical across pool sizes. It
+    /// has no effect on a cluster, whose leaves run queries one at a time.
     pub workers: usize,
 }
 
@@ -161,30 +171,165 @@ pub enum PipelineRequest {
     },
 }
 
-impl PipelineRequest {
-    /// True for the mutation lane (insert / delete / upsert).
-    pub fn is_mutation(&self) -> bool {
-        matches!(
-            self,
-            PipelineRequest::Insert { .. }
-                | PipelineRequest::Delete { .. }
-                | PipelineRequest::Upsert { .. }
-        )
-    }
+/// A mutation as the mutation lane holds it and a [`PipelineBackend`]
+/// applies it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PipelineMutation {
+    /// Append one entry.
+    Insert {
+        /// The embedding to insert.
+        vector: Vec<f32>,
+        /// Its document chunk.
+        document: Vec<u8>,
+    },
+    /// Tombstone one entry by stable id.
+    Delete {
+        /// The stable id to delete.
+        id: u32,
+    },
+    /// Replace one entry by stable id.
+    Upsert {
+        /// The stable id to replace.
+        id: u32,
+        /// The replacement embedding.
+        vector: Vec<f32>,
+        /// The replacement document chunk.
+        document: Vec<u8>,
+    },
+}
 
-    /// Two searches fuse into one batch only when the fused executor would
-    /// treat them identically: same `k` and same probe selection. `None`
-    /// for mutations.
-    pub fn batch_key(&self) -> Option<(usize, Option<usize>)> {
-        match self {
-            PipelineRequest::Search { k, .. } => Some((*k, None)),
-            PipelineRequest::IvfSearch { k, nprobe, .. } => Some((*k, Some(*nprobe))),
-            _ => None,
+/// Two searches fuse into one batch only when the batch executor would
+/// treat them identically: same `k` and same probe selection (`None` for a
+/// brute-force search).
+type BatchKey = (usize, Option<usize>);
+
+/// A request sorted into its lane.
+enum Routed {
+    Search { key: BatchKey, query: Vec<f32> },
+    Mutation(PipelineMutation),
+}
+
+impl From<PipelineRequest> for Routed {
+    fn from(request: PipelineRequest) -> Self {
+        match request {
+            PipelineRequest::Search { query, k } => Routed::Search {
+                key: (k, None),
+                query,
+            },
+            PipelineRequest::IvfSearch { query, k, nprobe } => Routed::Search {
+                key: (k, Some(nprobe)),
+                query,
+            },
+            PipelineRequest::Insert { vector, document } => {
+                Routed::Mutation(PipelineMutation::Insert { vector, document })
+            }
+            PipelineRequest::Delete { id } => Routed::Mutation(PipelineMutation::Delete { id }),
+            PipelineRequest::Upsert {
+                id,
+                vector,
+                document,
+            } => Routed::Mutation(PipelineMutation::Upsert {
+                id,
+                vector,
+                document,
+            }),
         }
     }
 }
 
-/// A completed request's answer.
+/// What a [`Pipeline`] dispatches its formed work to: one device database
+/// ([`ReisSystem`]) or a whole cluster (`reis_cluster::ClusterSystem`). The
+/// pipeline owns lanes, formation, priority, shedding and the device-busy
+/// horizon; a backend only executes and prices what it is handed.
+pub trait PipelineBackend {
+    /// Which part of the backend a pipeline serves (a database id on one
+    /// device).
+    type Target: Copy + Debug;
+    /// A completed request's answer.
+    type Reply;
+
+    /// The telemetry handle queueing is recorded into.
+    fn telemetry(&self) -> &Telemetry;
+
+    /// Run one formed search batch: every query with the same `k` and
+    /// probe count (`None` for brute force) on a `workers` budget. Returns
+    /// one reply per query, in query order, each with its modelled latency.
+    ///
+    /// # Errors
+    ///
+    /// The executor's error; the pipeline surfaces it on every request of
+    /// the batch.
+    fn execute_batch(
+        &mut self,
+        target: Self::Target,
+        queries: &[Vec<f32>],
+        k: usize,
+        nprobe: Option<usize>,
+        workers: usize,
+    ) -> Result<Vec<(Self::Reply, Nanos)>>;
+
+    /// Apply one mutation; returns its reply and modelled latency.
+    ///
+    /// # Errors
+    ///
+    /// The mutation's error; the pipeline surfaces it on that request.
+    fn execute_mutation(
+        &mut self,
+        target: Self::Target,
+        mutation: PipelineMutation,
+    ) -> Result<(Self::Reply, Nanos)>;
+}
+
+impl PipelineBackend for ReisSystem {
+    /// The deployed database the pipeline serves.
+    type Target = u32;
+    type Reply = PipelineReply;
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    fn execute_batch(
+        &mut self,
+        db_id: u32,
+        queries: &[Vec<f32>],
+        k: usize,
+        nprobe: Option<usize>,
+        workers: usize,
+    ) -> Result<Vec<(PipelineReply, Nanos)>> {
+        let outcomes = match nprobe {
+            Some(nprobe) => self.ivf_search_batch_with_nprobe(db_id, queries, k, nprobe, workers),
+            None => self.search_batch(db_id, queries, k, workers),
+        }?;
+        Ok(outcomes
+            .into_iter()
+            .map(|outcome| {
+                let latency = outcome.total_latency();
+                (PipelineReply::Search(Box::new(outcome)), latency)
+            })
+            .collect())
+    }
+
+    fn execute_mutation(
+        &mut self,
+        db_id: u32,
+        mutation: PipelineMutation,
+    ) -> Result<(PipelineReply, Nanos)> {
+        let outcome = match mutation {
+            PipelineMutation::Insert { vector, document } => self.insert(db_id, &vector, document),
+            PipelineMutation::Delete { id } => self.delete(db_id, id),
+            PipelineMutation::Upsert {
+                id,
+                vector,
+                document,
+            } => self.upsert(db_id, id, &vector, &document),
+        }?;
+        let latency = outcome.latency;
+        Ok((PipelineReply::Mutation(outcome), latency))
+    }
+}
+
+/// A completed request's answer on one device.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineReply {
     /// A search's outcome (boxed: a [`SearchOutcome`] dwarfs the
@@ -195,48 +340,56 @@ pub enum PipelineReply {
 }
 
 /// One completion record: when the request entered, when its batch
-/// dispatched, when the modelled device finished it, and the answer.
+/// dispatched, when the modelled backend finished it, and the answer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PipelineCompletion {
+pub struct PipelineCompletion<R = PipelineReply> {
     /// The id [`Pipeline::submit`] returned.
     pub request_id: u64,
     /// Virtual submission timestamp (the caller's).
     pub submitted_ns: u64,
     /// Virtual time the request's batch left its lane.
     pub dispatched_ns: u64,
-    /// Virtual time the modelled device completed it. The end-to-end
+    /// Virtual time the modelled backend completed it. The end-to-end
     /// sojourn is `completed_ns - submitted_ns`.
     pub completed_ns: u64,
     /// Size of the batch the request dispatched in (1 for mutations).
     pub batch_size: usize,
     /// The answer, or the error the whole batch surfaced. Request-level
     /// errors never poison the pipeline itself.
-    pub reply: Result<PipelineReply>,
+    pub reply: Result<R>,
 }
 
-/// A queued request with its submission metadata.
-#[derive(Debug)]
-struct Pending {
+/// A queued request's submission metadata.
+#[derive(Debug, Clone, Copy)]
+struct Ticket {
     request_id: u64,
     submitted_ns: u64,
-    request: PipelineRequest,
 }
 
-/// The asynchronous request pipeline over one [`ReisSystem`] database (see
-/// the module docs). Created by [`ReisSystem::pipeline`]; holds the system
-/// exclusively, so submissions and dispatches interleave deterministically.
+/// The forming search batch: its tickets and queries share one key.
+#[derive(Debug, Default)]
+struct SearchLane {
+    key: BatchKey,
+    tickets: Vec<Ticket>,
+    queries: Vec<Vec<f32>>,
+}
+
+/// The asynchronous request pipeline over one [`PipelineBackend`] (see the
+/// module docs): by default one [`ReisSystem`] database, created by
+/// [`ReisSystem::pipeline`]. Holds the backend exclusively, so submissions
+/// and dispatches interleave deterministically.
 #[derive(Debug)]
-pub struct Pipeline<'a> {
-    system: &'a mut ReisSystem,
-    db_id: u32,
+pub struct Pipeline<'a, B: PipelineBackend = ReisSystem> {
+    backend: &'a mut B,
+    target: B::Target,
     config: PipelineConfig,
     /// Virtual now: the latest submission or dispatch event processed.
     clock_ns: u64,
-    /// When the modelled device frees up; dispatches serialize behind it.
+    /// When the modelled backend frees up; dispatches serialize behind it.
     device_free_ns: u64,
-    searches: VecDeque<Pending>,
-    mutations: VecDeque<Pending>,
-    completions: Vec<PipelineCompletion>,
+    searches: SearchLane,
+    mutations: Vec<(Ticket, PipelineMutation)>,
+    completions: Vec<PipelineCompletion<B::Reply>>,
     next_id: u64,
     shed: u64,
 }
@@ -247,9 +400,17 @@ impl ReisSystem {
     /// drop it (after [`Pipeline::flush`]) to use the system directly
     /// again.
     pub fn pipeline(&mut self, db_id: u32, config: PipelineConfig) -> Pipeline<'_> {
+        Pipeline::new(self, db_id, config)
+    }
+}
+
+impl<'a, B: PipelineBackend> Pipeline<'a, B> {
+    /// Open a pipeline over `target` of `backend`, with `config`'s batch,
+    /// queue and worker bounds clamped to ≥ 1.
+    pub fn new(backend: &'a mut B, target: B::Target, config: PipelineConfig) -> Self {
         Pipeline {
-            system: self,
-            db_id,
+            backend,
+            target,
             config: PipelineConfig {
                 max_batch: config.max_batch.max(1),
                 queue_depth: config.queue_depth.max(1),
@@ -258,16 +419,14 @@ impl ReisSystem {
             },
             clock_ns: 0,
             device_free_ns: 0,
-            searches: VecDeque::new(),
-            mutations: VecDeque::new(),
+            searches: SearchLane::default(),
+            mutations: Vec::new(),
             completions: Vec::new(),
             next_id: 0,
             shed: 0,
         }
     }
-}
 
-impl Pipeline<'_> {
     /// Submit one request at virtual time `at_ns` (timestamps must be
     /// non-decreasing across calls; earlier stamps are clamped to the
     /// current virtual clock). Returns the request id its completion will
@@ -284,81 +443,73 @@ impl Pipeline<'_> {
         self.run_until(at_ns);
         self.clock_ns = self.clock_ns.max(at_ns);
 
-        let telemetry = self.system.telemetry.clone();
-        let lane = if request.is_mutation() {
-            &mut self.mutations
-        } else {
-            &mut self.searches
+        let routed = Routed::from(request);
+        let lane_len = match routed {
+            Routed::Search { .. } => self.searches.tickets.len(),
+            Routed::Mutation(_) => self.mutations.len(),
         };
-        if lane.len() >= self.config.queue_depth {
+        if lane_len >= self.config.queue_depth {
             self.shed += 1;
-            telemetry.count(CounterId::PipelineShed, 1);
+            self.backend.telemetry().count(CounterId::PipelineShed, 1);
             return Err(ReisError::Overloaded {
                 depth: self.config.queue_depth,
             });
         }
 
-        // A search that cannot fuse with the forming batch closes it: the
-        // lane stays homogeneous, so a dispatch always takes the whole lane.
-        let incompatible = !request.is_mutation()
-            && self
-                .searches
-                .front()
-                .is_some_and(|head| head.request.batch_key() != request.batch_key());
-        if incompatible {
-            self.dispatch_searches();
-        }
-
-        let request_id = self.next_id;
-        self.next_id += 1;
-        let is_mutation = request.is_mutation();
-        let pending = Pending {
-            request_id,
+        let ticket = Ticket {
+            request_id: self.next_id,
             submitted_ns: self.clock_ns,
-            request,
         };
-        let lane = if is_mutation {
-            &mut self.mutations
-        } else {
-            &mut self.searches
+        self.next_id += 1;
+        let depth = match routed {
+            Routed::Search { key, query } => {
+                // A search that cannot fuse with the forming batch closes
+                // it: the lane stays homogeneous, so a dispatch always takes
+                // the whole lane.
+                if !self.searches.tickets.is_empty() && self.searches.key != key {
+                    self.dispatch_searches();
+                }
+                self.searches.key = key;
+                self.searches.tickets.push(ticket);
+                self.searches.queries.push(query);
+                self.searches.tickets.len()
+            }
+            Routed::Mutation(mutation) => {
+                self.mutations.push((ticket, mutation));
+                self.mutations.len()
+            }
         };
-        lane.push_back(pending);
-        let depth = lane.len();
+        let telemetry = self.backend.telemetry();
         telemetry.count(CounterId::PipelineRequests, 1);
         telemetry.observe(HistogramId::PipelineQueueDepth, depth as u64);
 
-        if !is_mutation && self.searches.len() >= self.config.max_batch {
+        if self.searches.tickets.len() >= self.config.max_batch {
             self.dispatch_searches();
         }
-        Ok(request_id)
+        Ok(ticket.request_id)
     }
 
     /// Advance virtual time to `at_ns`, firing every lane whose formation
     /// deadline (`oldest submission + max_wait`) elapses on the way, in
     /// deadline order (ties broken by [`LanePriority`]).
     pub fn run_until(&mut self, at_ns: u64) {
+        let max_wait_ns = self.config.max_wait_ns;
+        let deadline =
+            |ticket: Option<&Ticket>| ticket.map(|t| t.submitted_ns.saturating_add(max_wait_ns));
         loop {
-            let search_deadline = self
-                .searches
-                .front()
-                .map(|p| p.submitted_ns.saturating_add(self.config.max_wait_ns));
-            let mutation_deadline = self
-                .mutations
-                .front()
-                .map(|p| p.submitted_ns.saturating_add(self.config.max_wait_ns));
-            let mutations_first = match (search_deadline, mutation_deadline) {
-                (None, None) => break,
-                (Some(s), None) if s <= at_ns => false,
-                (None, Some(m)) if m <= at_ns => true,
+            let search_deadline = deadline(self.searches.tickets.first());
+            let mutation_deadline = deadline(self.mutations.first().map(|(t, _)| t));
+            let (mutations_first, deadline) = match (search_deadline, mutation_deadline) {
+                (Some(s), None) if s <= at_ns => (false, s),
+                (None, Some(m)) if m <= at_ns => (true, m),
                 (Some(s), Some(m)) if s.min(m) <= at_ns => {
-                    m < s || (m == s && self.config.priority == LanePriority::MutationsFirst)
+                    if m < s || (m == s && self.config.priority == LanePriority::MutationsFirst) {
+                        (true, m)
+                    } else {
+                        (false, s)
+                    }
                 }
                 _ => break,
-            };
-            let deadline = if mutations_first {
-                mutation_deadline.unwrap()
-            } else {
-                search_deadline.unwrap()
             };
             self.clock_ns = self.clock_ns.max(deadline);
             if mutations_first {
@@ -386,7 +537,7 @@ impl Pipeline<'_> {
     }
 
     /// Take every completion recorded so far, in dispatch order.
-    pub fn drain_completions(&mut self) -> Vec<PipelineCompletion> {
+    pub fn drain_completions(&mut self) -> Vec<PipelineCompletion<B::Reply>> {
         std::mem::take(&mut self.completions)
     }
 
@@ -397,7 +548,7 @@ impl Pipeline<'_> {
 
     /// Requests currently queued across both lanes.
     pub fn queued(&self) -> usize {
-        self.searches.len() + self.mutations.len()
+        self.searches.tickets.len() + self.mutations.len()
     }
 
     /// The current virtual time, nanoseconds.
@@ -405,82 +556,65 @@ impl Pipeline<'_> {
         self.clock_ns
     }
 
-    /// Dispatch the whole search lane as one fused batch.
+    /// Dispatch the whole search lane as one batch.
     fn dispatch_searches(&mut self) {
         // Read-your-writes: under MutationsFirst no search batch leaves
         // while an earlier-arriving mutation is still queued.
         if self.config.priority == LanePriority::MutationsFirst && !self.mutations.is_empty() {
             self.dispatch_mutations();
         }
-        if self.searches.is_empty() {
+        if self.searches.tickets.is_empty() {
             return;
         }
-        let batch: Vec<Pending> = self.searches.drain(..).collect();
         let dispatched_ns = self.clock_ns;
         let start_ns = dispatched_ns.max(self.device_free_ns);
-        let batch_size = batch.len();
-        self.system
-            .telemetry
-            .observe(HistogramId::PipelineBatchSize, batch_size as u64);
-        for pending in &batch {
-            self.system.telemetry.observe(
+        let batch_size = self.searches.tickets.len();
+        let telemetry = self.backend.telemetry();
+        telemetry.observe(HistogramId::PipelineBatchSize, batch_size as u64);
+        for ticket in &self.searches.tickets {
+            telemetry.observe(
                 HistogramId::PipelineQueueWaitNs,
-                dispatched_ns.saturating_sub(pending.submitted_ns),
+                dispatched_ns.saturating_sub(ticket.submitted_ns),
             );
         }
 
-        let (k, nprobe) = batch[0]
-            .request
-            .batch_key()
-            .expect("search lane holds only searches");
-        let queries: Vec<Vec<f32>> = batch
-            .iter()
-            .map(|p| match &p.request {
-                PipelineRequest::Search { query, .. }
-                | PipelineRequest::IvfSearch { query, .. } => query.clone(),
-                _ => unreachable!("search lane holds only searches"),
-            })
-            .collect();
-        let executed = match nprobe {
-            Some(nprobe) => self.system.ivf_search_batch_with_nprobe(
-                self.db_id,
-                &queries,
-                k,
-                nprobe,
-                self.config.workers,
-            ),
-            None => self
-                .system
-                .search_batch(self.db_id, &queries, k, self.config.workers),
-        };
-
+        let (k, nprobe) = self.searches.key;
+        let executed = self.backend.execute_batch(
+            self.target,
+            &self.searches.queries,
+            k,
+            nprobe,
+            self.config.workers,
+        );
+        self.searches.queries.clear();
+        let tickets = self.searches.tickets.drain(..);
         match executed {
-            Ok(outcomes) => {
-                // Queries in a fused batch share the device; the batch
-                // occupies it for its slowest member while each request
-                // completes at its own modelled latency.
+            Ok(replies) => {
+                // Queries in a batch share the backend; the batch occupies
+                // it for its slowest member while each request completes at
+                // its own modelled latency.
                 let mut busy_until = start_ns;
-                for (pending, outcome) in batch.into_iter().zip(outcomes) {
-                    let completed_ns = start_ns + outcome.total_latency().as_nanos();
+                for (ticket, (reply, latency)) in tickets.zip(replies) {
+                    let completed_ns = start_ns + latency.as_nanos();
                     busy_until = busy_until.max(completed_ns);
                     self.completions.push(PipelineCompletion {
-                        request_id: pending.request_id,
-                        submitted_ns: pending.submitted_ns,
+                        request_id: ticket.request_id,
+                        submitted_ns: ticket.submitted_ns,
                         dispatched_ns,
                         completed_ns,
                         batch_size,
-                        reply: Ok(PipelineReply::Search(Box::new(outcome))),
+                        reply: Ok(reply),
                     });
                 }
                 self.device_free_ns = busy_until;
             }
             Err(error) => {
                 // The whole batch surfaces the executor's error; no
-                // modelled time elapses for work the device rejected.
-                for pending in batch {
+                // modelled time elapses for work the backend rejected.
+                for ticket in tickets {
                     self.completions.push(PipelineCompletion {
-                        request_id: pending.request_id,
-                        submitted_ns: pending.submitted_ns,
+                        request_id: ticket.request_id,
+                        submitted_ns: ticket.submitted_ns,
                         dispatched_ns,
                         completed_ns: start_ns,
                         batch_size,
@@ -492,42 +626,26 @@ impl Pipeline<'_> {
     }
 
     /// Dispatch the whole mutation lane, sequentially in arrival order
-    /// (mutations serialize on the device's program path).
+    /// (mutations serialize on the backend's program path).
     fn dispatch_mutations(&mut self) {
-        if self.mutations.is_empty() {
-            return;
-        }
-        let lane: Vec<Pending> = self.mutations.drain(..).collect();
         let dispatched_ns = self.clock_ns;
-        for pending in lane {
-            self.system.telemetry.observe(
+        for (ticket, mutation) in std::mem::take(&mut self.mutations) {
+            self.backend.telemetry().observe(
                 HistogramId::PipelineQueueWaitNs,
-                dispatched_ns.saturating_sub(pending.submitted_ns),
+                dispatched_ns.saturating_sub(ticket.submitted_ns),
             );
             let start_ns = dispatched_ns.max(self.device_free_ns);
-            let executed = match pending.request {
-                PipelineRequest::Insert { vector, document } => {
-                    self.system.insert(self.db_id, &vector, document)
-                }
-                PipelineRequest::Delete { id } => self.system.delete(self.db_id, id),
-                PipelineRequest::Upsert {
-                    id,
-                    vector,
-                    document,
-                } => self.system.upsert(self.db_id, id, &vector, &document),
-                _ => unreachable!("mutation lane holds only mutations"),
-            };
-            let (completed_ns, reply) = match executed {
-                Ok(outcome) => {
-                    let done = start_ns + outcome.latency.as_nanos();
+            let (completed_ns, reply) = match self.backend.execute_mutation(self.target, mutation) {
+                Ok((reply, latency)) => {
+                    let done = start_ns + latency.as_nanos();
                     self.device_free_ns = done;
-                    (done, Ok(PipelineReply::Mutation(outcome)))
+                    (done, Ok(reply))
                 }
                 Err(error) => (start_ns, Err(error)),
             };
             self.completions.push(PipelineCompletion {
-                request_id: pending.request_id,
-                submitted_ns: pending.submitted_ns,
+                request_id: ticket.request_id,
+                submitted_ns: ticket.submitted_ns,
                 dispatched_ns,
                 completed_ns,
                 batch_size: 1,

@@ -340,8 +340,16 @@ fn decode_op(code: u8) -> Op {
 /// Random mutation traces: the cluster (mutations routed to owning
 /// leaves) must answer like a union rebuild of the per-leaf survivors,
 /// and its transferred-entry sum must equal a single device driven
-/// through the *same* trace — pre- and post-compaction.
-fn run_mutated(ops: &[(u8, u64)], entries: usize, leaves: usize, parallelism: ScanParallelism) {
+/// through the *same* trace — pre- and post-compaction. Each caller names
+/// its own `summary` file: the proptests run on concurrent test threads,
+/// and two threads sharing one file would truncate each other's lines.
+fn run_mutated(
+    ops: &[(u8, u64)],
+    entries: usize,
+    leaves: usize,
+    parallelism: ScanParallelism,
+    summary: &str,
+) {
     let (vectors, documents) = corpus(entries);
     let template = VectorDatabase::flat(&vectors, documents.clone()).expect("template");
     let config = ReisConfig::tiny()
@@ -443,7 +451,7 @@ fn run_mutated(ops: &[(u8, u64)], entries: usize, leaves: usize, parallelism: Sc
                         "transferred fine entries: {ctx}"
                     );
                     record_summary(
-                        "scaleout_mutated",
+                        summary,
                         &format!(
                             "{stage} leaves={leaves} q={q} ids={:?} fine={}",
                             a.results.iter().map(|n| n.id).collect::<Vec<_>>(),
@@ -472,7 +480,13 @@ proptest! {
         entries in 10usize..26,
         leaf_pick in 0usize..LEAF_COUNTS.len(),
     ) {
-        run_mutated(&ops, entries, LEAF_COUNTS[leaf_pick], ScanParallelism::sequential());
+        run_mutated(
+            &ops,
+            entries,
+            LEAF_COUNTS[leaf_pick],
+            ScanParallelism::sequential(),
+            "scaleout_mutated_sequential",
+        );
     }
 
     /// The same invariant under intra-query sharded leaf scans.
@@ -488,6 +502,7 @@ proptest! {
             entries,
             LEAF_COUNTS[leaf_pick],
             ScanParallelism::sharded(shards).with_min_pages_per_shard(1),
+            "scaleout_mutated_sharded",
         );
     }
 }

@@ -20,18 +20,20 @@
 //! the pool has — or on how many shards a scan split into — fails the gate.
 //! The pipeline property makes the diff sensitive to formation order
 //! because its summary records virtual completion times, which would shift
-//! if pool size leaked into batch formation.
+//! if pool size leaked into batch formation. The cluster pipeline property
+//! records the same schedule for the cluster front door.
 
 use std::io::Write;
 
 use proptest::prelude::*;
 
+use reis_cluster::{ClusterPipelineReply, ClusterSystem};
 use reis_core::{
     AdaptiveFiltering, CompactionPolicy, LanePriority, PipelineConfig, PipelineReply,
     PipelineRequest, ReisConfig, ReisError, ReisSystem, ScanParallelism, SearchOutcome,
     VectorDatabase,
 };
-use reis_workloads::ArrivalTrace;
+use reis_workloads::{ArrivalEvent, ArrivalTrace};
 
 fn vectors(n: usize, dim: usize, salt: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -86,6 +88,23 @@ fn record_summary(test: &str, line: &str) {
         .open(&path)
         .expect("summary file");
     writeln!(file, "{line}").expect("summary write");
+}
+
+/// The first `num_requests` arrivals of a seeded Poisson trace, the
+/// horizon deterministically doubled on the rare short draw.
+fn poisson_arrivals(
+    offered_qps: u64,
+    num_requests: usize,
+    num_queries: usize,
+    seed: u64,
+) -> Vec<ArrivalEvent> {
+    let mut duration_us = ((num_requests as f64 / offered_qps as f64) * 2e6).ceil() as u64 + 1_000;
+    let mut trace = ArrivalTrace::poisson(offered_qps as f64, duration_us, num_queries, seed);
+    while trace.len() < num_requests {
+        duration_us *= 2;
+        trace = ArrivalTrace::poisson(offered_qps as f64, duration_us, num_queries, seed);
+    }
+    trace.events()[..num_requests].to_vec()
 }
 
 /// The forced auto-shard budget of the gate (`REIS_TEST_PARALLELISM`), or
@@ -395,16 +414,7 @@ proptest! {
         let dim = dim_words * 32;
         let all = vectors(entries, dim, seed as usize);
         let db = VectorDatabase::flat(&all, documents(entries)).expect("database");
-        // Horizon sized to cover `num_requests` arrivals, deterministically
-        // doubled on the rare short draw.
-        let mut duration_us =
-            ((num_requests as f64 / offered_qps as f64) * 2e6).ceil() as u64 + 1_000;
-        let mut trace = ArrivalTrace::poisson(offered_qps as f64, duration_us, entries, seed);
-        while trace.len() < num_requests {
-            duration_us *= 2;
-            trace = ArrivalTrace::poisson(offered_qps as f64, duration_us, entries, seed);
-        }
-        let arrivals: Vec<_> = trace.events().iter().take(num_requests).copied().collect();
+        let arrivals = poisson_arrivals(offered_qps, num_requests, entries, seed);
         let config = PipelineConfig::default()
             .with_max_batch(max_batch)
             .with_max_wait_us(max_wait_us);
@@ -469,6 +479,182 @@ proptest! {
                 "case requests={} max_batch={max_batch} wait_us={max_wait_us} shed={shed} \
                  schedule={}",
                 arrivals.len(),
+                schedule.join(","),
+            ),
+        );
+    }
+
+    /// The cluster front door is the device front door over another
+    /// backend. A seeded trace of searches (two `k` values, so incompatible
+    /// searches close a forming batch) interleaved with inserts, deletes
+    /// and upserts on live ids, served through `ClusterSystem::pipeline` on
+    /// a 2-shard, 2-way replicated cluster:
+    ///
+    /// * replays to equal completions;
+    /// * answers every request exactly like the same operation applied
+    ///   directly to a twin cluster in completion order;
+    /// * forms the same batches at the same virtual times as
+    ///   `ReisSystem::pipeline` fed the same trace on the union corpus,
+    ///   because formation never looks at the backend;
+    /// * completes an insert at its start time: a cluster insert reports
+    ///   no modelled latency.
+    #[test]
+    fn cluster_pipeline_matches_direct_cluster_and_device_schedule(
+        entries in 16usize..40,
+        num_requests in 6usize..24,
+        max_batch in 1usize..6,
+        max_wait_us in 10u64..400,
+        offered_qps in 20_000u64..400_000,
+        searches_first in 0usize..2,
+        seed in 0u64..1_000,
+    ) {
+        let dim = 64;
+        let all = vectors(entries, dim, seed as usize);
+        let docs = documents(entries);
+        let arrivals = poisson_arrivals(offered_qps, num_requests, entries, seed);
+
+        // Mutations execute in arrival order among themselves whatever the
+        // lane priority, so tracking live ids at submission keeps every
+        // delete and upsert on an id that is live when it runs.
+        let mut live: Vec<u32> = (0..entries as u32).collect();
+        let mut next_id = entries as u32;
+        let requests: Vec<PipelineRequest> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, event)| {
+                let pick = (event.query_index + i * 7 + seed as usize) % 10;
+                let fresh = vectors(1, dim, seed as usize + 31 * i + 1).remove(0);
+                match pick {
+                    0..=5 => PipelineRequest::Search {
+                        query: all[event.query_index].clone(),
+                        k: if pick < 4 { 3 } else { 5 },
+                    },
+                    6 => {
+                        live.push(next_id);
+                        next_id += 1;
+                        PipelineRequest::Insert {
+                            vector: fresh,
+                            document: format!("ins {i}").into_bytes(),
+                        }
+                    }
+                    7 if live.len() > 8 => PipelineRequest::Delete {
+                        id: live.swap_remove(event.query_index % live.len()),
+                    },
+                    _ => PipelineRequest::Upsert {
+                        id: live[event.query_index % live.len()],
+                        vector: fresh,
+                        document: format!("ups {i}").into_bytes(),
+                    },
+                }
+            })
+            .collect();
+        let priority = if searches_first == 1 {
+            LanePriority::SearchesFirst
+        } else {
+            LanePriority::MutationsFirst
+        };
+        let config = PipelineConfig::default()
+            .with_max_batch(max_batch)
+            .with_max_wait_us(max_wait_us)
+            .with_priority(priority);
+
+        let fresh_cluster = || {
+            let mut cluster =
+                ClusterSystem::new_replicated(ReisConfig::tiny(), 2, 2).expect("cluster");
+            cluster.deploy_flat(&all, &docs).expect("deploy");
+            cluster
+        };
+        let run = || {
+            let mut cluster = fresh_cluster();
+            let mut pipeline = cluster.pipeline(config);
+            for (event, request) in arrivals.iter().zip(&requests) {
+                pipeline
+                    .submit(event.at_ns, request.clone())
+                    .expect("default queue depth exceeds the request count");
+            }
+            pipeline.flush();
+            assert_eq!(pipeline.shed(), 0);
+            pipeline.drain_completions()
+        };
+        let completions = run();
+        prop_assert_eq!(&completions, &run(), "cluster pipeline must be trace-deterministic");
+        prop_assert_eq!(completions.len(), requests.len());
+
+        // Every reply equals the same operation on a twin cluster, applied
+        // in completion order.
+        let mut twin = fresh_cluster();
+        for completion in &completions {
+            let want = match requests[completion.request_id as usize].clone() {
+                PipelineRequest::Search { query, k } => {
+                    twin.search(&query, k).map(ClusterPipelineReply::Search)
+                }
+                PipelineRequest::Insert { vector, document } => {
+                    twin.insert(&vector, document).map(ClusterPipelineReply::Inserted)
+                }
+                PipelineRequest::Delete { id } => {
+                    twin.delete(id).map(ClusterPipelineReply::Mutation)
+                }
+                PipelineRequest::Upsert { id, vector, document } => twin
+                    .upsert(id, &vector, &document)
+                    .map(ClusterPipelineReply::Mutation),
+                other => panic!("the trace holds no {other:?}"),
+            };
+            prop_assert!(want.is_ok(), "request {} failed: {:?}", completion.request_id, want);
+            prop_assert_eq!(&completion.reply, &want, "request {}", completion.request_id);
+        }
+
+        // Formation is the device pipeline's: the same trace on one device
+        // holding the union corpus dispatches the same batches at the same
+        // virtual times.
+        let mut device = ReisSystem::new(ReisConfig::tiny());
+        let db = VectorDatabase::flat(&all, docs.clone()).expect("database");
+        let device_db = device.deploy(&db).expect("device deploy");
+        let mut device_pipeline = device.pipeline(device_db, config);
+        for (event, request) in arrivals.iter().zip(&requests) {
+            device_pipeline
+                .submit(event.at_ns, request.clone())
+                .expect("default queue depth exceeds the request count");
+        }
+        device_pipeline.flush();
+        let cluster_formation: Vec<_> = completions
+            .iter()
+            .map(|c| (c.request_id, c.submitted_ns, c.dispatched_ns, c.batch_size))
+            .collect();
+        let device_formation: Vec<_> = device_pipeline
+            .drain_completions()
+            .iter()
+            .map(|c| (c.request_id, c.submitted_ns, c.dispatched_ns, c.batch_size))
+            .collect();
+        prop_assert_eq!(cluster_formation, device_formation);
+
+        // A request starts when its dispatch and every earlier completion
+        // are behind it; an insert completes right there.
+        let mut horizon = 0u64;
+        let mut schedule: Vec<String> = Vec::with_capacity(completions.len());
+        for c in &completions {
+            let kind = match &c.reply {
+                Ok(ClusterPipelineReply::Search(_)) => 's',
+                Ok(ClusterPipelineReply::Inserted(_)) => {
+                    prop_assert_eq!(c.completed_ns, c.dispatched_ns.max(horizon));
+                    'i'
+                }
+                Ok(ClusterPipelineReply::Mutation(_)) => 'm',
+                Err(_) => 'e',
+            };
+            horizon = horizon.max(c.completed_ns);
+            schedule.push(format!(
+                "{}{kind}@{}:{}:{}x{}",
+                c.request_id, c.submitted_ns, c.dispatched_ns, c.completed_ns, c.batch_size
+            ));
+        }
+
+        // Gate summary: the cluster's full virtual completion schedule.
+        record_summary(
+            "cluster_pipeline_matches_direct_cluster_and_device_schedule",
+            &format!(
+                "case entries={entries} requests={} max_batch={max_batch} wait_us={max_wait_us} \
+                 priority={priority:?} schedule={}",
+                completions.len(),
                 schedule.join(","),
             ),
         );
